@@ -6,6 +6,13 @@ wiring that moves *any* headline number fails here with a field-level
 diff — the broadest regression net the repo has, and the determinism
 contract's long-term memory.
 
+Three artifact streams are pinned byte-for-byte as SHA-256 digests of
+their JSONL text (one ``json.dumps(doc, sort_keys=True)`` per line, the
+form ``write_timeseries_jsonl`` writes): the ext-telemetry and ext-dynamic
+``timeseries`` artifacts (series documents, ``engine.events`` included,
+plus alarm documents) and the ext-dynamic ``control`` decision stream.
+Summary counts alone would not notice an alarm firing one bucket late.
+
 To bless intentional changes::
 
     PYTHONPATH=src python -m pytest tests/golden --update-golden
@@ -14,6 +21,7 @@ then review the ``experiments.json`` diff like code: every changed number
 must be explainable by the change you just made.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -23,6 +31,12 @@ from repro.experiments.runner import run_all
 
 GOLDEN_PATH = Path(__file__).parent / "experiments.json"
 SEED = 2009
+#: (experiment, artifact key) streams pinned by digest.
+DIGESTED_ARTIFACTS = (
+    ("ext-dynamic", "control"),
+    ("ext-dynamic", "timeseries"),
+    ("ext-telemetry", "timeseries"),
+)
 
 
 def _jsonable(value):
@@ -30,6 +44,12 @@ def _jsonable(value):
     if hasattr(value, "item"):
         return value.item()
     return value
+
+
+def jsonl_digest(docs) -> str:
+    """SHA-256 of the documents' JSONL text."""
+    text = "\n".join(json.dumps(doc, sort_keys=True) for doc in docs)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def current_snapshot() -> dict:
@@ -43,11 +63,19 @@ def current_snapshot() -> dict:
             name: {k: _jsonable(v) for k, v in result.summary.items()}
             for name, result in sorted(results.items())
         },
+        "artifact_digests": {
+            f"{name}.{key}": jsonl_digest(results[name].artifacts[key])
+            for name, key in DIGESTED_ARTIFACTS
+        },
     }
 
 
-def test_summaries_match_golden(update_golden):
-    snapshot = current_snapshot()
+@pytest.fixture(scope="module")
+def snapshot():
+    return current_snapshot()
+
+
+def test_summaries_match_golden(update_golden, snapshot):
     if update_golden:
         GOLDEN_PATH.write_text(
             json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
@@ -78,9 +106,23 @@ def test_summaries_match_golden(update_golden):
     )
 
 
+def test_artifact_digests_match_golden(update_golden, snapshot):
+    if update_golden:
+        pytest.skip("golden snapshot rewritten by test_summaries_match_golden")
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert snapshot["artifact_digests"] == golden["artifact_digests"], (
+        "artifact streams drifted from tests/golden/experiments.json; diff "
+        "the JSONL of a run at the parent commit against this one (bless "
+        "intentional changes with --update-golden)"
+    )
+
+
 def test_golden_file_is_well_formed():
     golden = json.loads(GOLDEN_PATH.read_text())
     assert golden["seed"] == SEED and golden["fast"] is True
     assert len(golden["experiments"]) >= 16
+    assert sorted(golden["artifact_digests"]) == sorted(
+        f"{name}.{key}" for name, key in DIGESTED_ARTIFACTS
+    )
     for name, summary in golden["experiments"].items():
         assert isinstance(summary, dict) and summary, name
