@@ -5,9 +5,10 @@ package extends it into a reactive control loop over time-varying traffic,
 following the four sub-problems of dynamic consolidation surveyed by the
 OpenStack Neat line of work:
 
-1. **overload / underload detection** — :class:`~repro.obs.alarms.AlarmRule`
-   hysteresis + debounce semantics evaluated *incrementally* on the DES
-   virtual clock (:mod:`repro.control.controller`);
+1. **overload / underload detection** — one
+   :class:`~repro.obs.alarms.AlarmState` (hysteresis + debounce) per
+   :class:`~repro.obs.alarms.AlarmRule`, stepped on the DES virtual clock
+   (:mod:`repro.control.controller`);
 2. **VM selection** — the minimum-migration heuristic: shut the hosts whose
    eviction moves the fewest VMs (:mod:`repro.control.fleet`);
 3. **placement** — :func:`~repro.virtualization.placement.best_fit_decreasing`

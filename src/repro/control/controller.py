@@ -9,12 +9,13 @@ on overload alarms, draining shutdowns (minimum-migration victims, BFD
 re-placement) on underload alarms that persist past the planner's
 ``hold_periods`` hysteresis.
 
-Detection reuses :class:`~repro.obs.alarms.AlarmRule` *semantics*
-incrementally: the controller maintains each rule's trailing window /
-debounce-streak / hysteresis state tick by tick, so its fire/clear
-transitions match what a post-hoc :meth:`AlarmManager.evaluate
-<repro.obs.alarms.AlarmManager.evaluate>` walk over the recorded
-``control.pressure`` series produces.  The monitored signal is **pressure**
+Detection steps one :class:`~repro.obs.alarms.AlarmState` per rule each
+tick — the same trailing-window / debounce / hysteresis state machine that
+:meth:`AlarmManager.evaluate <repro.obs.alarms.AlarmManager.evaluate>`
+folds over a recorded series, so the live transitions are the ones a
+post-hoc pass over the ``control.pressure`` buckets finds.  The shrink
+hold is the planner's :meth:`~repro.core.dynamic.DynamicCapacityPlanner
+.hold_state`, the same machine again.  The monitored signal is **pressure**
 ``servers_needed / servers_on`` — demand (QoS-sized by the analytic model
 from measured rates) over supply — which stays scale-free where raw
 utilization saturates: at thousand-host scale QoS sizing itself runs the
@@ -31,12 +32,11 @@ artifact stream.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..core.dynamic import DynamicCapacityPlanner
-from ..obs.alarms import AlarmEvent, AlarmManager, AlarmRule
+from ..obs.alarms import AlarmEvent, AlarmManager, AlarmRule, AlarmState
 from ..obs.timeseries import get_bus
 from ..obs.trace import get_trace
 from .fleet import FleetState
@@ -141,37 +141,6 @@ class ControlDecision:
         }
 
 
-class _LiveRule:
-    """Incremental evaluation of one AlarmRule (window/debounce/hysteresis).
-
-    Mirrors :meth:`AlarmManager._walk` exactly: trailing-window mean
-    (shorter at the start), debounce streak while quiet, hysteresis clear
-    while firing.
-    """
-
-    def __init__(self, rule: AlarmRule) -> None:
-        self.rule = rule
-        self._window: deque[float] = deque(maxlen=rule.window)
-        self._streak = 0
-        self.firing = False
-        self.mean = 0.0
-
-    def step(self, value: float) -> str | None:
-        """Feed one bucket value; returns "fire", "clear", or None."""
-        self._window.append(value)
-        self.mean = sum(self._window) / len(self._window)
-        if not self.firing:
-            self._streak = self._streak + 1 if self.rule._breaches(self.mean) else 0
-            if self._streak >= self.rule.debounce:
-                self.firing = True
-                self._streak = 0
-                return "fire"
-        elif self.rule._clears(self.mean):
-            self.firing = False
-            return "clear"
-        return None
-
-
 class ConsolidationController:
     """Close the loop: observe -> size -> alarm-gated boot/shrink.
 
@@ -198,10 +167,10 @@ class ConsolidationController:
         self.fleet = fleet
         self.config = config or ControllerConfig()
         overload, underload = self.config.rules()
-        self._overload = _LiveRule(overload)
-        self._underload = _LiveRule(underload)
+        self._overload = AlarmState(overload)
+        self._underload = AlarmState(underload)
+        self._hold = planner.hold_state()
         self.manager = AlarmManager([overload, underload])
-        self._below_streak = 0
         self.decisions: list[ControlDecision] = []
         self.events: list[AlarmEvent] = []
         # Ledger (joules / counts) in the planner's algebra.
@@ -254,23 +223,17 @@ class ConsolidationController:
         pressure = needed / on if on else float("inf")
 
         transitions: list[str] = []
-        for live in (self._overload, self._underload):
-            change = live.step(pressure)
+        for state in (self._overload, self._underload):
+            change = state.step(pressure)
             if change is not None:
-                rule = live.rule
-                threshold = (
-                    rule.threshold if change == "fire" else rule.clear_threshold
-                )
+                rule = state.rule
                 self.events.append(
-                    AlarmEvent(
-                        rule=rule.name, kind=rule.kind, state=change, t=t,
-                        value=live.mean, threshold=threshold,
-                        series=rule.series, labels=dict(rule.labels),
-                    )
+                    state.event(change, t, rule.series, dict(rule.labels))
                 )
                 transitions.append(f"{rule.kind}:{change}")
 
         target = self.target_for(needed)
+        self._hold.step(on - target)
         kind = "hold"
         booted = shut = migs = 0
         if self._overload.firing and target > on:
@@ -284,30 +247,23 @@ class ConsolidationController:
                 self.energy_j += boot_j
                 self.boots += booted
                 self._boots_c.add(t, booted)
-            self._below_streak = 0
-        else:
-            self._below_streak = self._below_streak + 1 if target < on else 0
-            if (
-                self._underload.firing
-                and target < on
-                and self._below_streak > planner.hold_periods
-            ):
-                scale = self.fleet.scale_down(on - target)
-                shut = scale.completed
-                migs = len(scale.migrations)
-                if shut:
-                    kind = "shutdown"
-                    cost = cfg.migration.batch_cost(
-                        scale.migrations_per_source, planner.power_model
-                    )
-                    self.migration_energy_j += cost.energy_j
-                    self.energy_j += cost.energy_j
-                    self.shutdowns += shut
-                    self.migrations += migs
-                    self._shut_c.add(t, shut)
-                    if migs:
-                        self._mig_c.add(t, migs)
-                self._below_streak = 0
+        elif self._underload.firing and self._hold.firing:
+            scale = self.fleet.scale_down(on - target)
+            shut = scale.completed
+            migs = len(scale.migrations)
+            if shut:
+                kind = "shutdown"
+                cost = cfg.migration.batch_cost(
+                    scale.migrations_per_source, planner.power_model
+                )
+                self.migration_energy_j += cost.energy_j
+                self.energy_j += cost.energy_j
+                self.shutdowns += shut
+                self.migrations += migs
+                self._shut_c.add(t, shut)
+                if migs:
+                    self._mig_c.add(t, migs)
+            self._hold.reset()
 
         on_after = self.fleet.powered_count
         util = min(max(busy, 0.0) / on_after, 1.0) if on_after else 0.0
@@ -361,15 +317,11 @@ class ConsolidationController:
         """
         for gauge in self._gauges:
             gauge.finalize(t)
-        for live in (self._overload, self._underload):
-            if live.firing:
-                rule = live.rule
+        for state in (self._overload, self._underload):
+            if state.firing:
+                rule = state.rule
                 self.events.append(
-                    AlarmEvent(
-                        rule=rule.name, kind=rule.kind, state="open_at_exit",
-                        t=t, value=live.mean, threshold=rule.threshold,
-                        series=rule.series, labels=dict(rule.labels),
-                    )
+                    state.event("open_at_exit", t, rule.series, dict(rule.labels))
                 )
         self.manager.emit(self.events)
         return list(self.events)

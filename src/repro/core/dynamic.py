@@ -10,7 +10,9 @@ Real machines cannot flap, so the schedule supports:
 
 - **hysteresis** — only power down after the lower demand has persisted
   for ``hold_periods`` periods (powering up is always immediate: QoS
-  first);
+  first).  The hold is an :class:`~repro.obs.alarms.AlarmState` — the
+  repo's one anti-flap state machine — shared with the reactive
+  controller through :meth:`DynamicCapacityPlanner.hold_state`;
 - **switching energy** — booting a machine costs ``boot_energy`` joules,
   charged against the savings so the planner can report *net* energy.
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ..obs.alarms import AlarmRule, AlarmState
 from .inputs import ModelInputs, ResourceKind, ServiceSpec
 from .model import UtilityAnalyticModel
 from .power import ServerPowerModel
@@ -138,6 +141,23 @@ class DynamicCapacityPlanner:
         self.min_servers = min_servers
         self.load_model = load_model
 
+    def hold_state(self) -> AlarmState:
+        """Fresh shrink-hold state, stepped once per period with
+        ``servers_on - target``.
+
+        It breaches while the target is below the powered fleet and fires
+        once that has held for more than ``hold_periods`` consecutive
+        periods (debounce ``hold_periods + 1``); any period at or above
+        the fleet clears it.  Callers :meth:`~AlarmState.reset` it after
+        each shrink attempt.
+        """
+        return AlarmState(
+            AlarmRule(
+                "shrink-hold", "servers_surplus", "overload",
+                threshold=1.0, debounce=self.hold_periods + 1,
+            )
+        )
+
     # -- single period -------------------------------------------------------
 
     def servers_needed(self, arrival_rates: Mapping[str, float]) -> int:
@@ -189,7 +209,7 @@ class DynamicCapacityPlanner:
 
         periods: list[PeriodPlan] = []
         on = needed[0]
-        below_since = 0
+        hold = self.hold_state()
         total_energy = 0.0
         boot_spent = 0.0
         for k, rates in enumerate(profile):
@@ -200,15 +220,10 @@ class DynamicCapacityPlanner:
                 boot_spent += booted * self.boot_energy
                 total_energy += booted * self.boot_energy
                 on = want
-                below_since = 0
-            elif want < on:
-                below_since += 1
-                if below_since > self.hold_periods:
-                    shut = on - want
-                    on = want
-                    below_since = 0
-            else:
-                below_since = 0
+            if hold.step(on - want) == "fire":
+                shut = on - want
+                on = want
+                hold.reset()
             util = self._period_utilization(rates, on)
             energy = on * self.power_model.draw(util) * self.period_length
             total_energy += energy

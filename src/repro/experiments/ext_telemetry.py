@@ -124,11 +124,12 @@ def run(seed: int = 2009, fast: bool = True) -> ExperimentResult:
             ),
         ]
     )
-    events = manager.emit(manager.evaluate(bus))
+    events, open_events = manager.fold(bus)
+    manager.emit(events)
     # Alarms still firing when the simulated day ends would otherwise leave
     # no record; they ride the artifact stream as state="open_at_exit" docs
     # (summary keys stay untouched — they are golden-pinned).
-    open_events = manager.emit(manager.open_alarms(bus))
+    manager.emit(open_events)
     alarm_counts = manager.summarize(events)
 
     # Quasi-stationary fidelity check: mean offered load and measured loss

@@ -123,7 +123,7 @@ from .timeseries import (
     validate_timeseries_doc,
     write_timeseries_jsonl,
 )
-from .alarms import AlarmEvent, AlarmManager, AlarmRule
+from .alarms import AlarmEvent, AlarmManager, AlarmRule, AlarmState
 from .trace import (
     NullTraceLog,
     TraceEvent,
@@ -241,6 +241,7 @@ __all__ = [
     "load_timeseries_jsonl",
     # threshold alarms
     "AlarmRule",
+    "AlarmState",
     "AlarmEvent",
     "AlarmManager",
 ]

@@ -10,16 +10,23 @@ utilization signal crosses a threshold, with two guards against flapping —
 - **debounce**: the breach must persist for ``debounce`` consecutive
   windows before the alarm fires.
 
-Rules evaluate *post hoc* over the bucket series recorded by a
-:class:`~repro.obs.timeseries.TelemetryBus` — a deterministic walk over
+One incremental state machine, :class:`AlarmState`, implements both guards
+plus the trailing-window mean; it is fed one value at a time and reports
+``"fire"``/``"clear"`` transitions.  Every anti-flap decision in the repo
+steps it: :class:`AlarmManager` folds it over the bucket series recorded
+by a :class:`~repro.obs.timeseries.TelemetryBus` (a deterministic pass over
 already-deterministic data, so alarm event streams inherit the repo's
-bit-identity-across-``--jobs`` contract for free.  Events are emitted as
-structured trace records and metrics-registry counters, and serialise as
-``kind="alarm"`` documents into the ``repro.timeseries/v1`` JSONL stream.
+bit-identity-across-``--jobs`` contract), the consolidation controller
+steps it once per control tick, the service SLO tracker once per request,
+and the dynamic planner's shrink hold once per period.  Events are emitted
+as structured trace records and metrics-registry counters, and serialise
+as ``kind="alarm"`` documents into the ``repro.timeseries/v1`` JSONL
+stream.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -27,7 +34,7 @@ from repro.obs.registry import get_registry
 from repro.obs.timeseries import TIMESERIES_SCHEMA, TelemetryBus
 from repro.obs.trace import get_trace
 
-__all__ = ["AlarmRule", "AlarmEvent", "AlarmManager"]
+__all__ = ["AlarmRule", "AlarmState", "AlarmEvent", "AlarmManager"]
 
 _KINDS = ("overload", "underload")
 
@@ -128,6 +135,64 @@ class AlarmEvent:
         }
 
 
+class AlarmState:
+    """Incremental anti-flap evaluation of one :class:`AlarmRule`.
+
+    :meth:`step` takes the next value (one bucket, tick or request) and
+    keeps three pieces of state: the trailing-window mean (shorter windows
+    at the start average what exists, so early breaches are not masked),
+    the debounce streak of consecutive breaching means while quiet, and
+    the firing flag that only the hysteresis ``clear`` threshold resets.
+    """
+
+    __slots__ = ("rule", "firing", "mean", "_recent", "_streak")
+
+    def __init__(self, rule: AlarmRule) -> None:
+        self.rule = rule
+        self._recent: deque[float] = deque(maxlen=rule.window)
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget everything: quiet, no streak, empty window."""
+        self._recent.clear()
+        self._streak = 0
+        self.firing = False
+        self.mean = 0.0
+
+    def step(self, value: float) -> str | None:
+        """Feed one value; returns ``"fire"``, ``"clear"`` or ``None``."""
+        recent = self._recent
+        recent.append(value)
+        self.mean = mean = sum(recent) / len(recent)
+        rule = self.rule
+        if not self.firing:
+            self._streak = self._streak + 1 if rule._breaches(mean) else 0
+            if self._streak >= rule.debounce:
+                self.firing = True
+                self._streak = 0
+                return "fire"
+        elif rule._clears(mean):
+            self.firing = False
+            return "clear"
+        return None
+
+    def event(
+        self, state: str, t: float, series: str, labels: Mapping[str, str]
+    ) -> AlarmEvent:
+        """An :class:`AlarmEvent` for ``state`` at ``t`` valued at the
+        current mean (clears report the clear threshold they crossed)."""
+        rule = self.rule
+        return AlarmEvent(
+            rule=rule.name, kind=rule.kind, state=state, t=t, value=self.mean,
+            threshold=rule.clear_threshold if state == "clear" else rule.threshold,
+            series=series, labels=labels,
+        )
+
+
+def _order(event: AlarmEvent) -> tuple:
+    return (event.t, event.rule, event.series, sorted(event.labels.items()))
+
+
 class AlarmManager:
     """Evaluate a rule set against a bus and emit structured events."""
 
@@ -138,93 +203,46 @@ class AlarmManager:
         if dupes:
             raise ValueError(f"duplicate alarm rule names: {sorted(dupes)}")
 
-    def evaluate(self, bus: TelemetryBus) -> list[AlarmEvent]:
-        """Walk every rule over every matching series; returns events
-        sorted by ``(t, rule, series-labels)`` — a deterministic order."""
-        events: list[AlarmEvent] = []
-        for rule in self.rules:
-            for series in bus.series():
-                labels = dict(series.labels)
-                if not rule.matches(series.name, labels):
-                    continue
-                events.extend(self._walk(rule, series, labels)[0])
-        events.sort(key=lambda e: (e.t, e.rule, e.series, sorted(e.labels.items())))
-        return events
+    def fold(
+        self, bus: TelemetryBus
+    ) -> tuple[list[AlarmEvent], list[AlarmEvent]]:
+        """Fold an :class:`AlarmState` over every (rule, matching series).
 
-    def open_alarms(self, bus: TelemetryBus) -> list[AlarmEvent]:
-        """Alarms still firing at the end of the recorded series.
-
-        Returns one ``state="open_at_exit"`` event per (rule, series) pair
-        whose last transition was a fire without a matching clear, stamped
-        at the final bucket boundary.  Call at shutdown, after the last
-        :meth:`evaluate`, so runs that end mid-incident leave a record in
-        the trace and the run manifest instead of vanishing silently.
+        Returns ``(transitions, open_at_exit)``.  Each decision is stamped
+        at its bucket's end.  ``open_at_exit`` holds one
+        ``state="open_at_exit"`` event per pair still firing after the
+        last bucket, stamped at the final bucket boundary, so runs that end
+        mid-incident leave a record instead of vanishing silently.  Both
+        lists are sorted by ``(t, rule, series-labels)``.
         """
         events: list[AlarmEvent] = []
+        open_events: list[AlarmEvent] = []
         for rule in self.rules:
             for series in bus.series():
                 labels = dict(series.labels)
                 if not rule.matches(series.name, labels):
                     continue
-                open_event = self._walk(rule, series, labels)[1]
-                if open_event is not None:
-                    events.append(open_event)
-        events.sort(key=lambda e: (e.t, e.rule, e.series, sorted(e.labels.items())))
-        return events
+                state = AlarmState(rule)
+                width = series.bucket_width
+                t = 0.0
+                for i, value in enumerate(series.values()):
+                    t = (i + 1) * width
+                    change = state.step(value)
+                    if change is not None:
+                        events.append(state.event(change, t, series.name, labels))
+                if state.firing:
+                    open_events.append(
+                        state.event("open_at_exit", t, series.name, labels)
+                    )
+        return sorted(events, key=_order), sorted(open_events, key=_order)
 
-    @staticmethod
-    def _window_means(values: list[float], window: int) -> list[float]:
-        """Trailing-window means; windows shorter than ``window`` at the
-        start average what exists so early breaches are not masked."""
-        means = []
-        running = 0.0
-        for i, v in enumerate(values):
-            running += v
-            if i >= window:
-                running -= values[i - window]
-            means.append(running / min(i + 1, window))
-        return means
+    def evaluate(self, bus: TelemetryBus) -> list[AlarmEvent]:
+        """Fire/clear transitions of :meth:`fold`."""
+        return self.fold(bus)[0]
 
-    def _walk(
-        self, rule: AlarmRule, series, labels
-    ) -> tuple[list[AlarmEvent], AlarmEvent | None]:
-        """Transitions for one (rule, series) pair, plus the open-at-exit
-        event (``None`` unless the walk ends with the alarm still firing)."""
-        values = series.values()
-        if not values:
-            return [], None
-        means = self._window_means(values, rule.window)
-        width = series.bucket_width
-        events: list[AlarmEvent] = []
-        firing = False
-        streak = 0
-        for i, mean in enumerate(means):
-            t = (i + 1) * width  # decision lands at the bucket's end
-            if not firing:
-                streak = streak + 1 if rule._breaches(mean) else 0
-                if streak >= rule.debounce:
-                    firing = True
-                    streak = 0
-                    events.append(AlarmEvent(
-                        rule=rule.name, kind=rule.kind, state="fire", t=t,
-                        value=mean, threshold=rule.threshold,
-                        series=series.name, labels=labels,
-                    ))
-            elif rule._clears(mean):
-                firing = False
-                events.append(AlarmEvent(
-                    rule=rule.name, kind=rule.kind, state="clear", t=t,
-                    value=mean, threshold=rule.clear_threshold,
-                    series=series.name, labels=labels,
-                ))
-        open_event = None
-        if firing:
-            open_event = AlarmEvent(
-                rule=rule.name, kind=rule.kind, state="open_at_exit",
-                t=len(means) * width, value=means[-1],
-                threshold=rule.threshold, series=series.name, labels=labels,
-            )
-        return events, open_event
+    def open_alarms(self, bus: TelemetryBus) -> list[AlarmEvent]:
+        """Open-at-exit events of :meth:`fold`; call at shutdown."""
+        return self.fold(bus)[1]
 
     def emit(self, events: Iterable[AlarmEvent]) -> list[AlarmEvent]:
         """Publish events to the active trace log and metrics registry.

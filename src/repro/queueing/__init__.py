@@ -43,7 +43,6 @@ from .engset import (
 from . import vectorized
 from .erlang import (
     erlang_b_derivative_n,
-    erlang_b_recurrence,
     erlang_c,
     max_load_for_blocking,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "as_distribution",
     "vectorized",
     "erlang_b",
-    "erlang_b_recurrence",
     "erlang_b_log",
     "erlang_b_continuous",
     "erlang_b_derivative_n",

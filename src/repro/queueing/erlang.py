@@ -22,8 +22,6 @@ identical to the batched entry points.
 
 from __future__ import annotations
 
-import warnings
-
 from . import vectorized as _vec
 from .vectorized import (  # noqa: F401  (re-exported for compatibility)
     _MAX_SERVERS,
@@ -35,7 +33,6 @@ from .vectorized import (  # noqa: F401  (re-exported for compatibility)
 __all__ = [
     "offered_load",
     "erlang_b",
-    "erlang_b_recurrence",
     "erlang_b_log",
     "erlang_b_continuous",
     "erlang_b_derivative_n",
@@ -62,21 +59,6 @@ def erlang_b(n: int, rho: float) -> float:
     stable (every iterate lies in ``(0, 1]``), cost ``O(n)``.  For whole
     grids, pass arrays to :func:`repro.queueing.vectorized.erlang_b`.
     """
-    return _vec.erlang_b(int(n), float(rho))
-
-
-def erlang_b_recurrence(n: int, rho: float) -> float:
-    """Deprecated alias of :func:`erlang_b` (the recurrence *is* erlang_b).
-
-    Kept as a shim for pre-vectorization callers; use :func:`erlang_b`
-    directly (scalar) or :func:`repro.queueing.vectorized.erlang_b` (grids).
-    """
-    warnings.warn(
-        "erlang_b_recurrence is deprecated; use erlang_b "
-        "(or repro.queueing.vectorized.erlang_b for grids)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
     return _vec.erlang_b(int(n), float(rho))
 
 

@@ -6,10 +6,12 @@ observed error fraction over a rolling request window divided by that
 budget.  A burn rate of 1.0 spends the budget exactly as fast as the SLO
 allows; sustained rates above ``burn_threshold`` flip the tracker into a
 *burning* state (after ``debounce`` consecutive breaches, with a
-hysteresis ``burn_clear`` threshold on the way out — the same two
-anti-flap guards :class:`~repro.obs.alarms.AlarmRule` uses).  The service
-surfaces the burning state through ``GET /readyz`` so load balancers shed
-traffic while the budget is being spent too fast.
+hysteresis ``burn_clear`` threshold on the way out).  The burning state is
+an :class:`~repro.obs.alarms.AlarmState` stepped once per request over
+the tracker's ``slo-burn-rate`` :class:`~repro.obs.alarms.AlarmRule`
+(which also validates the band).  The service surfaces the burning state
+through ``GET /readyz`` so load balancers shed traffic while the budget
+is being spent too fast.
 
 The burn-rate signal is also recorded on a real-time
 :class:`~repro.obs.timeseries.TelemetryBus` gauge (bucketed on elapsed
@@ -26,7 +28,7 @@ import threading
 from collections import deque
 from typing import Any
 
-from ..obs.alarms import AlarmEvent, AlarmManager, AlarmRule
+from ..obs.alarms import AlarmEvent, AlarmManager, AlarmRule, AlarmState
 from ..obs.timeseries import TelemetryBus
 
 __all__ = ["SLOTracker", "percentile"]
@@ -77,13 +79,6 @@ class SLOTracker:
             )
         if window < 1:
             raise ValueError(f"window must be >= 1 requests, got {window}")
-        if burn_clear > burn_threshold:
-            raise ValueError(
-                f"burn_clear {burn_clear} must not exceed burn_threshold "
-                f"{burn_threshold} (hysteresis clears on the safe side)"
-            )
-        if debounce < 1:
-            raise ValueError(f"debounce must be >= 1, got {debounce}")
         self.target_p99_ms = float(target_p99_ms)
         self.availability_target = float(availability_target)
         self.error_budget = 1.0 - self.availability_target
@@ -95,22 +90,20 @@ class SLOTracker:
         self._window_errors = 0
         self._total = 0
         self._errors = 0
-        self._burning = False
-        self._streak = 0
         self._last_t = 0.0
         self.bus = TelemetryBus(bucket_width=bucket_width, max_buckets=max_buckets)
         self._burn_gauge = self.bus.gauge("slo_burn_rate")
-        self.alarm_manager = AlarmManager([
-            AlarmRule(
-                "slo-burn-rate",
-                "slo_burn_rate",
-                "overload",
-                threshold=self.burn_threshold,
-                clear=self.burn_clear,
-                window=1,
-                debounce=self.debounce,
-            )
-        ])
+        rule = AlarmRule(
+            "slo-burn-rate",
+            "slo_burn_rate",
+            "overload",
+            threshold=self.burn_threshold,
+            clear=self.burn_clear,
+            window=1,
+            debounce=self.debounce,
+        )
+        self._burn_state = AlarmState(rule)
+        self.alarm_manager = AlarmManager([rule])
         self._alarms_emitted = 0
 
     # -- recording -------------------------------------------------------------
@@ -132,13 +125,7 @@ class SLOTracker:
             # observe interleaved clocks, so clamp to the furthest point.
             self._last_t = max(self._last_t, float(t))
             self._burn_gauge.set(self._last_t, burn)
-            if not self._burning:
-                self._streak = self._streak + 1 if burn >= self.burn_threshold else 0
-                if self._streak >= self.debounce:
-                    self._burning = True
-                    self._streak = 0
-            elif burn < self.burn_clear:
-                self._burning = False
+            self._burn_state.step(burn)
 
     def _burn_rate_locked(self) -> float:
         if not self._window:
@@ -156,7 +143,7 @@ class SLOTracker:
     @property
     def burning(self) -> bool:
         with self._lock:
-            return self._burning
+            return self._burn_state.firing
 
     @property
     def ready(self) -> bool:
@@ -170,7 +157,7 @@ class SLOTracker:
             window_n = len(self._window)
             window_errors = self._window_errors
             burn = self._burn_rate_locked()
-            burning = self._burning
+            burning = self._burn_state.firing
             total, errors = self._total, self._errors
         p50 = percentile(latencies, 50.0)
         p95 = percentile(latencies, 95.0)

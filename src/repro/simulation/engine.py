@@ -7,20 +7,23 @@ increasing sequence number breaking time ties in insertion order, so runs
 with a fixed RNG seed are exactly reproducible — a property the statistical
 validation tests rely on.
 
-Observability: when a real metrics registry is installed (see
-:mod:`repro.obs`) *before* the simulator is constructed, the engine reports
-events executed, cancelled-event skips, live heap depth, and virtual-time
-progress.  The instrumented step is bound at construction, so with the
-default null registry the hot loop runs the bare path — its only additions
-over an uninstrumented engine are the live-event bookkeeping that keeps
-:attr:`Simulator.pending` O(1) (guarded by
-``benchmarks/bench_obs_overhead.py``).
+Observability: every configuration runs the same loop in
+:meth:`Simulator.run`.  Executed and skipped events are plain counts — the
+executed count is derived as scheduled − queued − skipped, so the loop
+keeps no per-event counter.  When a real metrics registry is installed
+(see :mod:`repro.obs`) *before* the simulator is constructed, those counts,
+the live heap depth and the virtual time are published to it when ``run``
+returns.  When a telemetry bus is installed, the ``engine.events`` series
+receives each bucket's counts when the head event crosses the bucket's
+end; that check shares the one compare per event that ``run`` already
+makes against ``until``, so the disabled path pays nothing for it
+(guarded by ``benchmarks/bench_obs_overhead.py``).
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,53 +56,47 @@ class ScheduledEvent:
 class Simulator:
     """Event loop with virtual time."""
 
-    # Registry instruments; None when only the telemetry bus is enabled, so
-    # _step_telemetry can serve both configurations with one bound method.
-    _c_executed = None
-    _c_skipped = None
-    _g_pending = None
-    _g_now = None
-
     def __init__(self) -> None:
         self._heap: list[ScheduledEvent] = []
-        self._seq = itertools.count()
+        # Events ever scheduled (also the FIFO tie-break sequence) and
+        # cancelled events discarded on pop; see _counts().
+        self._scheduled = 0
+        self._skipped = 0
         self._now = 0.0
         self._running = False
         # Cancelled events still sitting in the heap; pending is then the
         # O(1) difference len(heap) - dead instead of an O(n) scan.
         self._dead = 0
+        self._instruments = None
         registry = get_registry()
         if registry.enabled:
-            self._c_executed = registry.counter(
-                "sim_events_executed_total", help="events popped and run"
+            self._instruments = (
+                registry.counter(
+                    "sim_events_executed_total", help="events popped and run"
+                ),
+                registry.counter(
+                    "sim_events_skipped_total",
+                    help="cancelled events discarded on pop",
+                ),
+                registry.gauge(
+                    "sim_pending_events", help="live (uncancelled) events queued"
+                ),
+                registry.gauge(
+                    "sim_virtual_time", help="current virtual time of the simulator"
+                ),
             )
-            self._c_skipped = registry.counter(
-                "sim_events_skipped_total", help="cancelled events discarded on pop"
-            )
-            self._g_pending = registry.gauge(
-                "sim_pending_events", help="live (uncancelled) events queued"
-            )
-            self._g_now = registry.gauge(
-                "sim_virtual_time", help="current virtual time of the simulator"
-            )
-            # Shadow the class method so the disabled path never branches.
-            self.step = self._step_instrumented  # type: ignore[method-assign]
+        self._series = None
         bus = get_bus()
         if bus.enabled:
             bus.attach_simulator(self)
-            self._ts_executed = bus.counter("engine.events", {"kind": "executed"})
-            self._ts_skipped_add = bus.counter(
-                "engine.events", {"kind": "skipped"}
-            ).add
-            # Cached bucket window [lo, hi, values, idx] for the
-            # executed-events series: the hot loop increments the current
-            # bucket with plain float compares (no method call, no
-            # division) and falls back to the series' own add() only when
-            # an event crosses a bucket boundary.  Refreshed on every
-            # miss, so decimation inside add() — which swaps the value
-            # list and doubles the width — is picked up.
-            self._ts_cache: list = [0.0, -1.0, None, 0]
-            self._bind_telemetry_step()
+            self._series = (
+                bus.counter("engine.events", {"kind": "executed"}),
+                bus.counter("engine.events", {"kind": "skipped"}),
+            )
+            # Time keying the open engine.events bucket, and the counts
+            # already added to the series.
+            self._bucket_t = 0.0
+            self._flushed = (0, 0)
 
     @property
     def now(self) -> float:
@@ -112,9 +109,9 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule into the past: {time} < now={self._now}"
             )
-        event = ScheduledEvent(
-            time=time, seq=next(self._seq), callback=callback, sim=self
-        )
+        seq = self._scheduled
+        self._scheduled = seq + 1
+        event = ScheduledEvent(time=time, seq=seq, callback=callback, sim=self)
         heapq.heappush(self._heap, event)
         return event
 
@@ -123,95 +120,6 @@ class Simulator:
         if delay < 0.0:
             raise ValueError(f"delay must be non-negative, got {delay}")
         return self.schedule_at(self._now + delay, callback)
-
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False when drained."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._dead -= 1
-                continue
-            event.sim = None
-            self._now = event.time
-            event.callback()
-            return True
-        return False
-
-    def _step_instrumented(self) -> bool:
-        """Step variant installed when a real registry is active."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._dead -= 1
-                self._c_skipped.inc()
-                continue
-            event.sim = None
-            self._now = event.time
-            self._c_executed.inc()
-            self._g_pending.set(len(self._heap) - self._dead)
-            self._g_now.set(self._now)
-            event.callback()
-            return True
-        return False
-
-    def _bind_telemetry_step(self) -> None:
-        """Install the telemetry step as a closure over hot-loop state.
-
-        The per-event budget here is tight (the bench asserts telemetry
-        stays within 15% of the disabled engine), and on CPython closure
-        cells are several times cheaper to read than instance attributes —
-        so everything the loop touches every event is captured in cells.
-        The closure also drives the registry instruments (if any), so the
-        two instrumented step variants never need to compose.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        cache = self._ts_cache
-        miss = self._ts_miss
-        skipped_add = self._ts_skipped_add
-        c_executed = self._c_executed
-        c_skipped = self._c_skipped
-        g_pending = self._g_pending
-        g_now = self._g_now
-
-        def step() -> bool:
-            while heap:
-                event = pop(heap)
-                if event.cancelled:
-                    self._dead -= 1
-                    skipped_add(self._now)
-                    if c_skipped is not None:
-                        c_skipped.inc()
-                    continue
-                event.sim = None
-                t = event.time
-                self._now = t
-                if cache[0] <= t < cache[1]:
-                    cache[2][cache[3]] += 1.0
-                else:
-                    miss(t)
-                if c_executed is not None:
-                    c_executed.inc()
-                    g_pending.set(len(heap) - self._dead)
-                    g_now.set(t)
-                event.callback()
-                return True
-            return False
-
-        self.step = step  # type: ignore[method-assign]
-
-    def _ts_miss(self, t: float) -> None:
-        """Slow path of the telemetry step: record the event through the
-        series API, then re-cache the bucket window it landed in."""
-        series = self._ts_executed
-        series.add(t)
-        width = series.bucket_width
-        idx = int(t / width)
-        cache = self._ts_cache
-        cache[0] = idx * width
-        cache[1] = cache[0] + width
-        cache[2] = series._values
-        cache[3] = idx
 
     def run(self, until: float | None = None) -> None:
         """Run events until the heap drains or virtual time passes ``until``.
@@ -223,16 +131,70 @@ class Simulator:
         if self._running:
             raise RuntimeError("simulator is not reentrant")
         self._running = True
-        step = self.step
+        heap = self._heap
+        pop = heapq.heappop
+        stop = math.inf if until is None else until
+        # The loop's one compare: a head time at or past ``limit`` is either
+        # beyond ``until`` or, with telemetry on, the first event of a new
+        # engine.events bucket (-inf opens the first bucket).
+        end = math.nextafter(stop, math.inf)
+        limit = end if self._series is None else -math.inf
+        before = self._counts()
         try:
-            while self._heap:
-                if until is not None and self._heap[0].time > until:
-                    break
-                step()
+            while heap:
+                event = heap[0]
+                t = event.time
+                if t >= limit:
+                    if t > stop:
+                        break
+                    if self._series is not None:
+                        limit = min(self._open_bucket(t), end)
+                pop(heap)
+                if event.cancelled:
+                    self._dead -= 1
+                    self._skipped += 1
+                    continue
+                event.sim = None
+                self._now = t
+                event.callback()
             if until is not None and until > self._now:
                 self._now = until
         finally:
             self._running = False
+            self._publish(before)
+
+    def _counts(self) -> tuple[int, int]:
+        """(executed, skipped) events so far: every scheduled event is
+        either still queued, discarded as cancelled, or was executed."""
+        return self._scheduled - len(self._heap) - self._skipped, self._skipped
+
+    def _flush_bucket(self) -> None:
+        """Add the counts since the last flush to the open bucket."""
+        counts = self._counts()
+        for series, now, done in zip(self._series, counts, self._flushed):
+            if now > done:
+                series.add(self._bucket_t, float(now - done))
+        self._flushed = counts
+
+    def _open_bucket(self, t: float) -> float:
+        """Flush the bucket just left, open the one holding ``t`` and
+        return its end."""
+        self._flush_bucket()
+        self._bucket_t = t
+        width = self._series[0].bucket_width
+        return int(t / width) * width + width
+
+    def _publish(self, before: tuple[int, int]) -> None:
+        """Hand this run's counts to the bus and the registry."""
+        if self._series is not None:
+            self._flush_bucket()
+        if self._instruments is not None:
+            executed_c, skipped_c, pending_g, now_g = self._instruments
+            executed, skipped = self._counts()
+            executed_c.inc(executed - before[0])
+            skipped_c.inc(skipped - before[1])
+            pending_g.set(self.pending)
+            now_g.set(self._now)
 
     @property
     def pending(self) -> int:

@@ -9,13 +9,12 @@ from repro.control.controller import (
     PRESSURE_SERIES,
     ConsolidationController,
     ControllerConfig,
-    _LiveRule,
 )
 from repro.control.fleet import FleetState
 from repro.core.dynamic import DynamicCapacityPlanner
 from repro.core.inputs import ResourceKind, ServiceSpec
 from repro.core.power import ServerPowerModel
-from repro.obs.alarms import AlarmManager, AlarmRule
+from repro.obs.alarms import AlarmManager, AlarmRule, AlarmState
 from repro.obs.timeseries import TelemetryBus, scoped_bus
 from repro.simulation.loss_network import LossNetwork, ServiceTraffic
 
@@ -66,7 +65,8 @@ class TestConfig:
 
 
 class TestLiveRuleMatchesAlarmManager:
-    """The incremental evaluator must reproduce the post-hoc walk."""
+    """Stepping an AlarmState live, one tick at a time, must find the
+    transitions the post-hoc fold finds over the recorded gauge buckets."""
 
     @pytest.mark.parametrize(
         "values",
@@ -90,7 +90,7 @@ class TestLiveRuleMatchesAlarmManager:
                 "r", "s", "underload", threshold=0.75, clear=0.85,
                 window=2, debounce=2,
             )
-        live = _LiveRule(rule)
+        live = AlarmState(rule)
         incremental = []
         for i, value in enumerate(values):
             change = live.step(value)
@@ -103,7 +103,7 @@ class TestLiveRuleMatchesAlarmManager:
             gauge.set(float(i), value)
         gauge.finalize(float(len(values)))
         events = AlarmManager([rule]).evaluate(bus)
-        # The post-hoc walk stamps each decision at the bucket's *end*
+        # The post-hoc fold stamps each decision at the bucket's *end*
         # ((i+1)*width); the live rule reacts inside bucket i.  Same
         # bucket, shifted timestamp.
         post_hoc = [(e.state, int(e.t) - 1) for e in events]

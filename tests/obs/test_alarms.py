@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import scoped_registry
-from repro.obs.alarms import AlarmEvent, AlarmManager, AlarmRule
+from repro.obs.alarms import AlarmEvent, AlarmManager, AlarmRule, AlarmState
 from repro.obs.timeseries import TelemetryBus, validate_timeseries_doc
 from repro.obs.trace import scoped_trace
 
@@ -43,6 +43,69 @@ class TestAlarmRule:
         assert rule.matches("s", {"pool": "p", "resource": "cpu"})
         assert not rule.matches("s", {"pool": "q"})
         assert not rule.matches("other", {"pool": "p"})
+
+
+def reference_transitions(rule, values):
+    """The alarm semantics spelled out: trailing-window mean (short at the
+    start), debounce streak while quiet, hysteresis clear while firing."""
+    out, firing, streak = [], False, 0
+    for i in range(len(values)):
+        recent = values[max(0, i + 1 - rule.window) : i + 1]
+        mean = sum(recent) / len(recent)
+        if rule.kind == "overload":
+            breach, clear = mean >= rule.threshold, mean < rule.clear_threshold
+        else:
+            breach, clear = mean <= rule.threshold, mean > rule.clear_threshold
+        if not firing:
+            streak = streak + 1 if breach else 0
+            if streak >= rule.debounce:
+                firing, streak = True, 0
+                out.append(("fire", i, mean))
+        elif clear:
+            firing = False
+            out.append(("clear", i, mean))
+    return out
+
+
+class TestAlarmState:
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            AlarmRule("o", "s", "overload", 1.0, clear=0.9, window=2, debounce=2),
+            AlarmRule("u", "s", "underload", 0.75, clear=0.85, window=3),
+            AlarmRule("b", "s", "overload", 2.0, clear=1.0, debounce=3),
+        ],
+    )
+    def test_step_matches_reference(self, rule):
+        values = [0.5, 0.6, 1.1, 1.2, 1.3, 0.8, 0.7, 1.0, 1.05, 0.85,
+                  2.5, 2.5, 2.5, 0.3, 0.2, 0.9, 3.0, 0.1]
+        state = AlarmState(rule)
+        got = []
+        for i, value in enumerate(values):
+            change = state.step(value)
+            if change is not None:
+                got.append((change, i, state.mean))
+        assert got == reference_transitions(rule, values)
+
+    def test_reset_forgets_window_streak_and_firing(self):
+        state = AlarmState(AlarmRule("r", "s", "overload", 1.0, window=2, debounce=2))
+        assert state.step(5.0) is None
+        assert state.step(5.0) == "fire"
+        state.reset()
+        assert not state.firing and state.mean == 0.0
+        # The old 5.0s are gone from the window and the streak restarts.
+        assert state.step(1.0) is None
+        assert state.step(0.0) is None
+        assert state.mean == 0.5
+
+    def test_event_thresholds_follow_state(self):
+        rule = AlarmRule("r", "s", "overload", 1.0, clear=0.5)
+        state = AlarmState(rule)
+        state.step(2.0)
+        assert state.event("fire", 1.0, "s", {}).threshold == 1.0
+        assert state.event("clear", 1.0, "s", {}).threshold == 0.5
+        assert state.event("open_at_exit", 1.0, "s", {}).threshold == 1.0
+        assert state.event("fire", 1.0, "s", {}).value == 2.0
 
 
 class TestEvaluate:
@@ -89,7 +152,11 @@ class TestEvaluate:
         assert AlarmManager([windowed]).evaluate(bus) == []
 
     def test_window_means_short_prefix(self):
-        means = AlarmManager._window_means([4.0, 8.0, 12.0], window=4)
+        state = AlarmState(AlarmRule("r", "s", "overload", 100.0, window=4))
+        means = []
+        for value in [4.0, 8.0, 12.0]:
+            state.step(value)
+            means.append(state.mean)
         assert means == [4.0, 6.0, 8.0]
 
     def test_rule_applies_per_matching_series(self):
@@ -108,6 +175,18 @@ class TestEvaluate:
         rule = AlarmRule("r", "s", "overload", 1.0)
         with pytest.raises(ValueError, match="duplicate"):
             AlarmManager([rule, rule])
+
+
+    def test_fold_returns_transitions_and_open_alarms(self):
+        bus = bus_with_gauge([9.0, 9.0, 1.0, 9.0])
+        manager = AlarmManager([
+            AlarmRule("hot", "pool.busy_servers", "overload", 8.0, clear=4.0),
+        ])
+        events, open_events = manager.fold(bus)
+        assert events == manager.evaluate(bus)
+        assert open_events == manager.open_alarms(bus)
+        assert [e.state for e in events] == ["fire", "clear", "fire"]
+        assert [(e.state, e.t) for e in open_events] == [("open_at_exit", 4.0)]
 
 
 class TestEmit:

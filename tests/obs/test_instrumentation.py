@@ -36,6 +36,18 @@ class TestEngineInstrumentation:
             assert reg.gauge("sim_virtual_time").value == 3.0
             assert reg.gauge("sim_pending_events").value == 0
 
+    def test_counts_accumulate_across_runs(self):
+        with scoped_registry() as reg:
+            sim = Simulator()
+            for t in (1.0, 2.0, 3.0):
+                sim.schedule_at(t, lambda: None)
+            sim.run(until=1.5)
+            assert reg.counter("sim_events_executed_total").value == 1
+            assert reg.gauge("sim_pending_events").value == 2
+            assert reg.gauge("sim_virtual_time").value == 1.5
+            sim.run()
+            assert reg.counter("sim_events_executed_total").value == 3
+
     def test_cancelled_events_counted_as_skips(self):
         with scoped_registry() as reg:
             sim = Simulator()
@@ -92,8 +104,9 @@ class TestPendingCounter:
                 live.append(sim.schedule_in(float(rng.random()), lambda: None))
             elif action == 1:
                 live.pop(int(rng.integers(0, len(live)))).cancel()
-            else:
-                sim.step()
+            elif sim.pending:
+                # Run exactly the next live event.
+                sim.run(until=min(e.time for e in sim._heap if not e.cancelled))
             scan = sum(1 for e in sim._heap if not e.cancelled)
             assert sim.pending == scan
 

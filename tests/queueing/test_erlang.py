@@ -9,7 +9,6 @@ from repro.queueing.erlang import (
     erlang_b_continuous,
     erlang_b_derivative_n,
     erlang_b_log,
-    erlang_b_recurrence,
     erlang_c,
     max_load_for_blocking,
     min_servers,
@@ -71,19 +70,15 @@ class TestErlangB:
         with pytest.raises(ValueError):
             erlang_b(1, -1.0)
 
-    def test_recurrence_alias(self):
-        with pytest.warns(DeprecationWarning, match="erlang_b_recurrence"):
-            assert erlang_b(7, 3.3) == erlang_b_recurrence(7, 3.3)
-
     def test_deprecated_names_still_import(self):
         # The API redesign keeps every pre-vectorization name importable,
         # from both the module and the package root.
-        from repro.queueing import erlang_b_recurrence as from_package
-        from repro.queueing.erlang import erlang_b_recurrence as from_module
+        import repro.queueing as package
+        import repro.queueing.erlang as module
 
-        assert from_package is from_module
-        with pytest.warns(DeprecationWarning):
-            assert from_package(3, 2.0) == erlang_b(3, 2.0)
+        for name in module.__all__:
+            assert hasattr(package, name), name
+        assert package.erlang_b(3, 2.0) == module.erlang_b(3, 2.0)
 
 
 class TestErlangBVariants:

@@ -89,12 +89,33 @@ class TestRunControl:
         ev.cancel()
         assert sim.pending == 1
 
-    def test_step_returns_false_when_drained(self):
+    def test_run_until_resumes_where_it_stopped(self):
         sim = Simulator()
-        assert sim.step() is False
-        sim.schedule_at(1.0, lambda: None)
-        assert sim.step() is True
-        assert sim.step() is False
+        sim.run(until=1.0)  # nothing queued: only the clock moves
+        assert sim.now == 1.0
+        fired = []
+        sim.schedule_at(2.0, lambda: fired.append(2))
+        sim.schedule_at(3.0, lambda: fired.append(3))
+        sim.run(until=2.0)
+        assert fired == [2] and sim.pending == 1
+        sim.run(until=3.0)
+        assert fired == [2, 3] and sim.pending == 0
+        sim.run()
+        assert fired == [2, 3] and sim.now == 3.0
+
+    def test_cancelled_head_does_not_run_event_past_until(self):
+        # Regression: a cancelled event heading the heap used to let the
+        # next live event run even though it lies past ``until``.
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(5.0, lambda: fired.append(5)).cancel()
+        sim.schedule_at(10.0, lambda: fired.append(10))
+        sim.run(until=7.0)
+        assert fired == []
+        assert sim.now == 7.0
+        assert sim.pending == 1
+        sim.run()
+        assert fired == [10]
 
     def test_cascading_events(self):
         # Events scheduling further events: a 1000-step chain completes.
@@ -122,7 +143,7 @@ class TestRunControl:
 
 
 class TestTelemetryStep:
-    """The construct-time-bound telemetry step and its bucket cache."""
+    """engine.events bucketing by the run loop (construct-time bound)."""
 
     def drive(self, bus, n=50, dt=0.5):
         with scoped_bus(bus):
@@ -172,7 +193,37 @@ class TestTelemetryStep:
 
     def test_disabled_bus_leaves_plain_step(self):
         sim = Simulator()
-        assert "step" not in vars(sim)  # class method, not a closure
+        assert sim._series is None and sim._instruments is None
+
+    def test_split_runs_record_like_one_run(self):
+        whole = TelemetryBus(bucket_width=1.0)
+        self.drive(whole, n=20, dt=0.3)
+        split = TelemetryBus(bucket_width=1.0)
+        with scoped_bus(split):
+            sim = Simulator()
+        for i in range(20):
+            sim.schedule_at(i * 0.3, lambda: None)
+        for until in (0.5, 0.9, 2.0, 2.05, 4.4):
+            sim.run(until=until)
+        sim.run()
+        assert split.to_docs() == whole.to_docs()
+
+    def test_skips_land_in_the_cancelled_events_bucket(self):
+        bus = TelemetryBus(bucket_width=1.0)
+        with scoped_bus(bus):
+            sim = Simulator()
+        sim.schedule_at(0.5, lambda: None)
+        sim.schedule_at(2.5, lambda: None).cancel()
+        sim.schedule_at(3.5, lambda: None)
+        sim.run()
+        values = {
+            dict(s.labels)["kind"]: s.values()
+            for s in bus.series() if s.name == "engine.events"
+        }
+        assert values == {
+            "executed": [1.0, 0.0, 0.0, 1.0],
+            "skipped": [0.0, 0.0, 1.0],
+        }
 
     def test_bus_clock_follows_virtual_time(self):
         bus = TelemetryBus()
