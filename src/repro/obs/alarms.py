@@ -142,7 +142,8 @@ class AlarmState:
     keeps three pieces of state: the trailing-window mean (shorter windows
     at the start average what exists, so early breaches are not masked),
     the debounce streak of consecutive breaching means while quiet, and
-    the firing flag that only the hysteresis ``clear`` threshold resets.
+    the firing flag, which only a mean past the hysteresis ``clear``
+    threshold (or :meth:`reset`) lowers.
     """
 
     __slots__ = ("rule", "firing", "mean", "_recent", "_streak")
