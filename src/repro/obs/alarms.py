@@ -146,7 +146,7 @@ class AlarmState:
     threshold (or :meth:`reset`) lowers.
     """
 
-    __slots__ = ("rule", "firing", "mean", "_recent", "_streak")
+    __slots__ = ("rule", "firing", "mean", "_recent", "_breach_run")
 
     def __init__(self, rule: AlarmRule) -> None:
         self.rule = rule
@@ -156,7 +156,7 @@ class AlarmState:
     def reset(self) -> None:
         """Forget everything: quiet, no streak, empty window."""
         self._recent.clear()
-        self._streak = 0
+        self._breach_run = 0
         self.firing = False
         self.mean = 0.0
 
@@ -167,10 +167,10 @@ class AlarmState:
         self.mean = mean = sum(recent) / len(recent)
         rule = self.rule
         if not self.firing:
-            self._streak = self._streak + 1 if rule._breaches(mean) else 0
-            if self._streak >= rule.debounce:
+            self._breach_run = self._breach_run + 1 if rule._breaches(mean) else 0
+            if self._breach_run >= rule.debounce:
                 self.firing = True
-                self._streak = 0
+                self._breach_run = 0
                 return "fire"
         elif rule._clears(mean):
             self.firing = False
