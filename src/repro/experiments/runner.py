@@ -23,8 +23,11 @@ values each experiment module declares (``repro.obs.fidelity``), prints the
 scoreboard, and appends a ``FIDELITY_<date>_<sha>.json`` artifact next to
 the manifest; ``--fail-on-fidelity`` turns a ``fail`` verdict into exit
 code 1 (the CI push gate).  ``--report-out FILE`` additionally renders the
-whole run — manifest, metrics, trace, bench trend, fidelity scoreboard,
-experiment summaries — into one self-contained HTML report.
+whole run — the fleet decision priced under the ``--price-usd-per-kwh``/
+``--carbon-g-per-kwh``/``--server-capex-usd`` audit assumptions, manifest,
+metrics, trace, bench trend, fidelity scoreboard, experiment summaries —
+into one self-contained HTML report (:mod:`repro.obs.report`) with its
+``FLEET_*.json`` companion beside it.
 """
 
 from __future__ import annotations
@@ -42,28 +45,22 @@ from ..obs import (
     ProgressReporter,
     SpanProfiler,
     TraceLog,
-    build_and_render,
     build_fidelity_artifact,
     build_ledger,
     build_manifest,
-    collect_bench_docs,
-    compare_artifacts,
     environment_fingerprint,
     evaluate_summaries,
-    load_artifact,
-    render_report,
     scoped_registry,
     scoped_trace,
     scoreboard_table,
     write_fidelity_artifact,
-    write_fleet_artifact,
     write_manifest,
     write_prometheus,
-    write_report,
     write_timeseries_jsonl,
     write_trace_jsonl,
 )
 from ..obs.ledger import ledger_with_live_results
+from ..obs.report import BENCH_BASELINE, add_assumption_arguments, write_ledger_report
 from ..parallel import ParallelSweep, SweepStats, record_cache_metrics, shared_cache
 
 # Importing the experiment modules populates the registry.
@@ -160,15 +157,9 @@ def _manifest_dir(args) -> Path | None:
         return Path(args.timeseries_out).parent
     if args.report_out:
         return Path(args.report_out).parent
-    if args.fleet_out:
-        return Path(args.fleet_out).parent
     if args.full:
         return Path("results")
     return None
-
-
-#: Committed bench baseline the report compares the newest artifact against.
-_BENCH_BASELINE = Path("benchmarks/baselines/BENCH_baseline.json")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -258,39 +249,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--report-out",
         metavar="FILE",
-        help="render the run (manifest, metrics, trace, bench trend, "
-        "fidelity scoreboard, summaries) into one self-contained HTML file",
+        help="render the run plus every on-disk artifact of its output "
+        "directory and the bench baselines (fleet decision, fidelity "
+        "scoreboard, manifest, metrics, trace, bench trend, summaries) "
+        "into one self-contained HTML file, with FLEET_*.json beside it",
     )
-    parser.add_argument(
-        "--fleet-out",
-        metavar="FILE",
-        help="aggregate this run plus every on-disk artifact (results, "
-        "bench baselines) into the executive fleet dashboard (self-"
-        "contained HTML + FLEET_*.json next to it)",
-    )
-    parser.add_argument(
-        "--price-usd-per-kwh",
-        type=float,
-        default=AuditAssumptions.price_usd_per_kwh,
-        metavar="USD",
-        help="electricity price for the fleet audit (default: %(default)s; "
-        "recorded in the run manifest)",
-    )
-    parser.add_argument(
-        "--carbon-g-per-kwh",
-        type=float,
-        default=AuditAssumptions.carbon_g_per_kwh,
-        metavar="G",
-        help="grid carbon intensity for the fleet audit "
-        "(default: %(default)s; recorded in the run manifest)",
-    )
-    parser.add_argument(
-        "--server-capex-usd",
-        type=float,
-        default=AuditAssumptions.server_capex_usd,
-        metavar="USD",
-        help="per-server capex, amortized, for the fleet audit "
-        "(default: %(default)s; recorded in the run manifest)",
+    add_assumption_arguments(
+        parser, ("price_usd_per_kwh", "carbon_g_per_kwh", "server_capex_usd")
     )
     parser.add_argument(
         "--fail-on-fidelity",
@@ -300,11 +265,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        audit_assumptions = AuditAssumptions(
-            price_usd_per_kwh=args.price_usd_per_kwh,
-            carbon_g_per_kwh=args.carbon_g_per_kwh,
-            server_capex_usd=args.server_capex_usd,
-        )
+        audit_assumptions = AuditAssumptions.from_mapping(vars(args))
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -472,7 +433,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     # jobs and audit live outside `inputs` on purpose: the
                     # inputs hash must be identical across --jobs values
                     # and price assumptions (the results are), while two
-                    # fleet dashboards built from the same runs at
+                    # fleet reports built from the same runs at
                     # different prices stay distinguishable via `audit`.
                     extra={
                         "parallel": {
@@ -539,17 +500,14 @@ def main(argv: Sequence[str] | None = None) -> int:
                 file=sys.stderr,
             )
         if args.report_out:
-            bench_dirs = [manifest_dir] if manifest_dir is not None else []
-            bench_dirs.append(_BENCH_BASELINE.parent)
-            bench_docs = collect_bench_docs(bench_dirs)
-            bench_comparison = None
-            if bench_docs and _BENCH_BASELINE.exists():
-                try:
-                    bench_comparison = compare_artifacts(
-                        load_artifact(_BENCH_BASELINE), bench_docs[-1]
-                    ).to_doc()
-                except ValueError:
-                    pass  # foreign baseline: trend still renders
+            # The run that just finished is authoritative over anything
+            # on disk (ledger_with_live_results puts it first).
+            ledger = ledger_with_live_results(
+                build_ledger([manifest_dir, BENCH_BASELINE.parent]),
+                {name: r.summary for name, r in results_by_name.items()},
+                seed=args.seed,
+                env=environment_fingerprint(),
+            )
             trace_events = (
                 [
                     {"ts": e.ts, "kind": e.kind, "name": e.name, **e.fields}
@@ -558,55 +516,27 @@ def main(argv: Sequence[str] | None = None) -> int:
                 if trace is not None
                 else None
             )
-            report_path = write_report(
-                render_report(
-                    title="repro-experiments run report",
-                    manifest=manifest,
-                    metrics=registry.snapshot() if registry is not None else None,
-                    trace_events=trace_events,
-                    bench_docs=bench_docs,
-                    bench_comparison=bench_comparison,
-                    fidelity_doc=fidelity_doc,
-                    timeseries_docs=telemetry_docs or None,
-                    results=[
-                        {
-                            "experiment": r.experiment,
-                            "title": r.title,
-                            "summary": dict(r.summary),
-                        }
-                        for _, r in sorted(results_by_name.items())
-                    ],
-                ),
+            report_path, fleet_path, _ = write_ledger_report(
+                ledger,
                 args.report_out,
+                assumptions=audit_assumptions,
+                fidelity_doc=fidelity_doc if scoreboard.verdicts else None,
+                title="repro-experiments run report",
+                manifest=manifest,
+                metrics=registry.snapshot() if registry is not None else None,
+                trace_events=trace_events,
+                timeseries_docs=telemetry_docs or None,
+                results=[
+                    {
+                        "experiment": r.experiment,
+                        "title": r.title,
+                        "summary": dict(r.summary),
+                    }
+                    for _, r in sorted(results_by_name.items())
+                ],
             )
             print(f"report: {report_path}", file=sys.stderr)
-        if args.fleet_out:
-            scan_dirs: list = []
-            if manifest_dir is not None:
-                scan_dirs.append(manifest_dir)
-            scan_dirs.append(_BENCH_BASELINE.parent)
-            ledger = ledger_with_live_results(
-                build_ledger(scan_dirs),
-                {name: r.summary for name, r in results_by_name.items()},
-                seed=args.seed,
-                env=environment_fingerprint(),
-            )
-            fleet_artifact, fleet_html = build_and_render(
-                ledger,
-                audit_assumptions,
-                title="repro fleet audit",
-                fidelity_doc=fidelity_doc if scoreboard.verdicts else None,
-            )
-            fleet_path = Path(args.fleet_out)
-            if fleet_path.parent != Path(""):
-                fleet_path.parent.mkdir(parents=True, exist_ok=True)
-            fleet_path.write_text(fleet_html)
-            print(f"fleet dashboard: {fleet_path}", file=sys.stderr)
-            artifact_path = write_fleet_artifact(
-                fleet_artifact,
-                fleet_path.parent if str(fleet_path.parent) else ".",
-            )
-            print(f"fleet artifact: {artifact_path}", file=sys.stderr)
+            print(f"fleet artifact: {fleet_path}", file=sys.stderr)
     except OSError as exc:
         print(f"error: cannot write observability output: {exc}", file=sys.stderr)
         return 1

@@ -70,12 +70,11 @@ from .fidelity import (
     evaluate_summaries,
     expectations_for,
     load_fidelity_artifact,
-    load_results_summaries,
     scoreboard_table,
     validate_fidelity_artifact,
     write_fidelity_artifact,
 )
-from .report import collect_bench_docs, render_report, write_report
+from .report import render_report, write_report
 from .ledger import (
     LEDGER_KINDS,
     LedgerEntry,
@@ -96,7 +95,6 @@ from .fleet import (
     validate_fleet_artifact,
     write_fleet_artifact,
 )
-from .execsummary import build_and_render, render_fleet_dashboard
 from .profileutil import PROFILE_SCHEMA, SpanProfiler
 from .progress import ProgressReporter
 from .registry import (
@@ -196,7 +194,6 @@ __all__ = [
     "expectations_for",
     "check_expectations",
     "evaluate_summaries",
-    "load_results_summaries",
     "build_fidelity_artifact",
     "validate_fidelity_artifact",
     "write_fidelity_artifact",
@@ -204,7 +201,6 @@ __all__ = [
     "scoreboard_table",
     # html report
     "render_report",
-    "collect_bench_docs",
     "write_report",
     # fleet run ledger
     "LEDGER_KINDS",
@@ -224,9 +220,6 @@ __all__ = [
     "validate_fleet_artifact",
     "write_fleet_artifact",
     "load_fleet_artifact",
-    # executive dashboard
-    "render_fleet_dashboard",
-    "build_and_render",
     # virtual-time telemetry bus
     "TIMESERIES_SCHEMA",
     "CounterSeries",

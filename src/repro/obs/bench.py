@@ -59,6 +59,7 @@ __all__ = [
     "validate_artifact",
     "write_artifact",
     "detect_git_sha",
+    "percentile",
 ]
 
 BENCH_SCHEMA = "repro.bench/v1"
@@ -268,6 +269,23 @@ class BenchResult:
     @property
     def cpu_median(self) -> float | None:
         return statistics.median(self.cpu_s) if self.cpu_s else None
+
+
+def percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (inclusive) over pre-sorted values.
+
+    ``q`` is in [0, 100].  Empty input returns ``nan``: no samples, no
+    latency to report (the service SLO tracker, the loadtest and the
+    report's Service section all share this one definition).
+    """
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    if not sorted_values:
+        return math.nan
+    if q == 0.0:
+        return sorted_values[0]
+    rank = math.ceil(q / 100.0 * len(sorted_values))
+    return sorted_values[rank - 1]
 
 
 def _timing_doc(samples: list[float]) -> dict[str, Any]:

@@ -41,15 +41,9 @@ from .bench import (
     select_specs,
     write_artifact,
 )
-from .compare import compare_artifacts, load_artifact, verdict_table
+from .compare import compare_artifacts, fmt_seconds, load_artifact, verdict_table
 
 __all__ = ["main"]
-
-
-def _fmt_s(value: float | None) -> str:
-    if value is None:
-        return "-"
-    return f"{value:.3f}s" if value >= 1.0 else f"{1e3 * value:.2f}ms"
 
 
 def _fmt_bytes(value: int | None) -> str:
@@ -88,7 +82,11 @@ def _cmd_run(args) -> int:
         return 0
 
     def show(result: BenchResult) -> None:
-        status = _fmt_s(result.wall_median) if result.ok else f"FAILED ({result.error})"
+        status = (
+            fmt_seconds(result.wall_median)
+            if result.ok
+            else f"FAILED ({result.error})"
+        )
         print(f"  {result.name:<52} {status}", file=sys.stderr)
 
     print(
@@ -205,7 +203,7 @@ def _cmd_ratio(args) -> int:
         return 2
     ratio = slow_s / fast_s
     print(
-        f"{args.slow}: {_fmt_s(slow_s)}  /  {args.fast}: {_fmt_s(fast_s)}"
+        f"{args.slow}: {fmt_seconds(slow_s)}  /  {args.fast}: {fmt_seconds(fast_s)}"
         f"  ->  {ratio:.1f}x"
     )
     if args.min_ratio is not None and ratio < args.min_ratio:
@@ -312,8 +310,9 @@ def _cmd_report(args) -> int:
             print(f"{e['name']:<{name_w}}  FAILED: {e.get('error')}")
             continue
         print(
-            f"{e['name']:<{name_w}}  {_fmt_s(e['wall_s']['median']):>10}  "
-            f"{_fmt_s(e['wall_s']['min']):>10}  {_fmt_s(e['cpu_s']['median']):>10}  "
+            f"{e['name']:<{name_w}}  {fmt_seconds(e['wall_s']['median']):>10}  "
+            f"{fmt_seconds(e['wall_s']['min']):>10}  "
+            f"{fmt_seconds(e['cpu_s']['median']):>10}  "
             f"{_fmt_bytes(e['alloc'].get('peak_bytes')):>10}"
         )
     return 0

@@ -28,6 +28,7 @@ __all__ = [
     "BenchDelta",
     "Comparison",
     "compare_artifacts",
+    "fmt_seconds",
     "load_artifact",
     "verdict_table",
 ]
@@ -170,7 +171,8 @@ def compare_artifacts(
     return Comparison(threshold=threshold, metric=metric, deltas=deltas)
 
 
-def _fmt_s(value: float | None) -> str:
+def fmt_seconds(value: float | None) -> str:
+    """``1.234s`` at one second and above, ``12.34ms`` below, ``-`` for None."""
     if value is None:
         return "-"
     if value >= 1.0:
@@ -195,8 +197,8 @@ def verdict_table(comparison: Comparison) -> str:
     lines = [header, "-" * len(header)]
     for d in comparison.deltas:
         lines.append(
-            f"{d.name:<{name_w}}  {_fmt_s(d.base_median):>10}  "
-            f"{_fmt_s(d.new_median):>10}  {_fmt_rel(d.rel_change):>8}  {d.verdict}"
+            f"{d.name:<{name_w}}  {fmt_seconds(d.base_median):>10}  "
+            f"{fmt_seconds(d.new_median):>10}  {_fmt_rel(d.rel_change):>8}  {d.verdict}"
         )
     lines.append("")
     lines.append(

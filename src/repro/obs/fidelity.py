@@ -14,9 +14,8 @@ to contain, with explicit tolerances:
     )
 
 A checker (:func:`evaluate_summaries`) consumes experiment summaries —
-from a fresh run or from the ``<id>.json`` artifacts in a results
-directory (:func:`load_results_summaries`) — and grades every declared
-metric:
+from a fresh run or from the ``<id>.json`` artifacts the run ledger
+(:mod:`repro.obs.ledger`) indexes — and grades every declared metric:
 
 - ``match``  — within the declared tolerance;
 - ``drift``  — outside the tolerance but within ``drift_factor`` times it
@@ -51,7 +50,6 @@ __all__ = [
     "declared_experiments",
     "check_expectations",
     "evaluate_summaries",
-    "load_results_summaries",
     "build_fidelity_artifact",
     "validate_fidelity_artifact",
     "write_fidelity_artifact",
@@ -284,31 +282,6 @@ def evaluate_summaries(
             check_expectations(name, summaries.get(name), expectations_for(name))
         )
     return Scoreboard(verdicts=tuple(verdicts))
-
-
-def load_results_summaries(results_dir: str | Path) -> dict[str, dict[str, Any]]:
-    """Experiment summaries from the ``<id>.json`` artifacts in a directory.
-
-    Only documents with both ``experiment`` and ``summary`` keys count;
-    manifests, ``BENCH_*``/``FIDELITY_*`` artifacts, and foreign JSON are
-    skipped.  Unreadable JSON raises — a corrupt results directory must not
-    silently grade as "nothing to check".
-    """
-    results_dir = Path(results_dir)
-    if not results_dir.is_dir():
-        raise FileNotFoundError(f"results directory not found: {results_dir}")
-    summaries: dict[str, dict[str, Any]] = {}
-    for path in sorted(results_dir.glob("*.json")):
-        if path.name.startswith(("BENCH_", "FIDELITY_")):
-            continue
-        doc = json.loads(path.read_text())
-        if (
-            isinstance(doc, dict)
-            and isinstance(doc.get("experiment"), str)
-            and isinstance(doc.get("summary"), dict)
-        ):
-            summaries[doc["experiment"]] = doc["summary"]
-    return summaries
 
 
 # -- artifact ------------------------------------------------------------------

@@ -21,8 +21,9 @@ Three scenarios are compared:
 
 The aggregate serialises as an append-only, schema-versioned
 ``FLEET_<date>_<sha>.json`` artifact (``repro.fleet/v1``), the
-machine-readable companion of the executive HTML dashboard
-(:mod:`repro.obs.execsummary`).
+machine-readable companion of the HTML run report, whose executive
+summary, audit assumptions and run ledger sections render it
+(:mod:`repro.obs.report`).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class AuditAssumptions:
     Defaults are deliberately round, documented figures (≈US industrial
     electricity price, ≈world-average grid intensity, a commodity 2-socket
     server amortized over four years); every one of them is recorded in
-    the ``FLEET_*.json`` artifact and the run manifest, so two dashboards
+    the ``FLEET_*.json`` artifact and the run manifest, so two reports
     built from the same runs with different prices are distinguishable.
     """
 
@@ -459,7 +460,7 @@ def build_fleet_artifact(
     """Wrap a fleet summary in the ``repro.fleet/v1`` provenance envelope.
 
     ``inputs_hash`` covers the indexed run ids only — *not* the price
-    assumptions — so two dashboards over the same runs share a hash and
+    assumptions — so two reports over the same runs share a hash and
     differ visibly in their ``assumptions`` block.
     """
     from .. import __version__

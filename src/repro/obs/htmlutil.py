@@ -1,12 +1,10 @@
-"""Shared building blocks for the self-contained HTML reports.
+"""Building blocks for the self-contained HTML report.
 
-Both report generators — the per-run report (:mod:`repro.obs.report`) and
-the fleet dashboard (:mod:`repro.obs.execsummary`) — emit dependency-free
-HTML: no JavaScript, no external assets, figures as inline SVG.  This
-module holds the pieces they share (stylesheet, escaping, tables, badges,
-sparklines, the page shell) so the two documents stay visually and
-structurally consistent, and so the "self-contained" contract is tested in
-one place.
+The report (:mod:`repro.obs.report`) is dependency-free HTML: no
+JavaScript, no external assets, figures as inline SVG.  This module holds
+its pieces (stylesheet, escaping, number formatting, tables, badges,
+sparklines, the page shell) so every section looks the same and the
+"self-contained" contract is tested in one place.
 """
 
 from __future__ import annotations
@@ -18,6 +16,8 @@ __all__ = [
     "CSS",
     "esc",
     "fmt_value",
+    "fmt_number",
+    "mono",
     "badge",
     "table",
     "kv_table",
@@ -74,6 +74,21 @@ def fmt_value(value: Any) -> str:
             return "nan"
         return f"{value:.5g}"
     return str(value)
+
+
+def fmt_number(value: Any, unit: str = "", digits: int = 1, prefix: str = "") -> str:
+    """Thousands-separated fixed-point number (``–`` when not a number).
+
+    Money is ``fmt_number(v, digits=2, prefix="$")``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "–"
+    return f"{prefix}{value:,.{digits}f}{unit}"
+
+
+def mono(value: Any) -> str:
+    """Escaped ``value`` in a monospace span (numbers, names, paths)."""
+    return f'<span class="mono">{esc(value)}</span>'
 
 
 def badge(verdict: str) -> str:

@@ -7,8 +7,8 @@ result summaries, and JSONL event traces.  This module turns a pile of
 those files (``results/``, ``benchmarks/baselines/``, CI artifact dumps…)
 into one typed index — the *run ledger* — keyed by experiment, seed, and
 environment fingerprint (via :mod:`repro.obs.envinfo`), which the fleet
-aggregator (:mod:`repro.obs.fleet`) and the executive dashboard
-(:mod:`repro.obs.execsummary`) consume.
+aggregator (:mod:`repro.obs.fleet`) and the run report
+(:mod:`repro.obs.report`, the only consumer of on-disk discovery) read.
 
 Robustness contract: indexing never raises on artifact content.  Truncated
 JSON, schema-version mismatches, duplicate run ids, and foreign files are
@@ -183,7 +183,7 @@ def _to_int(value: Any) -> int | None:
 def _classify(path: Path) -> tuple[LedgerEntry | None, str | None]:
     """Parse + type one file; returns ``(entry, skip_reason)``.
 
-    ``FLEET_*.json`` dashboards are the *output* of this subsystem and are
+    ``FLEET_*.json`` artifacts are the *output* of the run report and are
     deliberately not re-ingested (reason returned, never a warning).
     """
     name = path.name
@@ -390,7 +390,7 @@ def build_ledger(
             if entry is None:
                 assert reason is not None
                 skipped.append(SkippedFile(str(path), reason))
-                # Foreign-but-expected files (our own dashboards) skip
+                # Foreign-but-expected files (our own FLEET artifacts) skip
                 # quietly; anything else warrants a trace warning.
                 if not reason.startswith("fleet artifact"):
                     trace.warning("ledger_skip", path=str(path), reason=reason)
@@ -419,7 +419,7 @@ def ledger_with_live_results(
 ) -> RunLedger:
     """Prepend a live run's in-memory summaries to an on-disk ledger.
 
-    Used by ``repro-experiments --fleet-out``: the run that just finished
+    Used by ``repro-experiments --report-out``: the run that just finished
     is authoritative over anything on disk, so its entries come first (the
     first entry per experiment wins aggregation).  A disk copy of the same
     summary — e.g. the export this very run just wrote — carries the same

@@ -33,8 +33,7 @@ from http.client import HTTPConnection, HTTPException
 from typing import Any
 
 from ..parallel.sweep import seed_for
-from ..obs.bench import BenchResult, build_artifact
-from .slo import percentile
+from ..obs.bench import BenchResult, build_artifact, percentile
 
 __all__ = ["MixGenerator", "LoadTestResult", "run_loadtest", "loadtest_artifact"]
 

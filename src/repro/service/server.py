@@ -11,8 +11,7 @@ connections, drains in-flight requests up to ``--drain-deadline``
 seconds, records open SLO alarms, flushes the access log, writes the
 final metrics snapshot and ``run_manifest.json``, and exits 0.  Startup
 or teardown failures (unbindable port, unwritable output path) exit 2
-with a one-line ``error:`` message — the repro-report/repro-fleet
-convention.
+with a one-line ``error:`` message — the repro-report convention.
 """
 
 from __future__ import annotations

@@ -29,25 +29,10 @@ from collections import deque
 from typing import Any
 
 from ..obs.alarms import AlarmEvent, AlarmManager, AlarmRule, AlarmState
+from ..obs.bench import percentile
 from ..obs.timeseries import TelemetryBus
 
 __all__ = ["SLOTracker", "percentile"]
-
-
-def percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile (inclusive) over pre-sorted values.
-
-    ``q`` is in [0, 100].  Empty input returns ``nan`` — an SLO snapshot
-    taken before any traffic has no latency to report.
-    """
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
-    if not sorted_values:
-        return math.nan
-    if q == 0.0:
-        return sorted_values[0]
-    rank = math.ceil(q / 100.0 * len(sorted_values))
-    return sorted_values[rank - 1]
 
 
 class SLOTracker:

@@ -102,18 +102,21 @@ class TestObservedRun:
 
 
 class TestFleetOut:
+    """The FLEET_*.json companion ``--report-out`` writes beside the report."""
+
     def test_fleet_out_writes_dashboard_and_artifact(self, tmp_path, capsys):
         out = tmp_path / "artifacts"
-        fleet = out / "fleet.html"
+        report = out / "report.html"
         code = main(
             ["fig11", "fig12", "fig13", "table1",
-             "--output", str(out), "--fleet-out", str(fleet)]
+             "--output", str(out), "--report-out", str(report)]
         )
         err = capsys.readouterr().err
         assert code == 0
-        assert "fleet dashboard:" in err and "fleet artifact:" in err
-        html = fleet.read_text()
-        assert "Executive summary" in html
+        assert "report:" in err and "fleet artifact:" in err
+        html = report.read_text()
+        assert "Executive summary" in html and "Run ledger" in html
+        assert "Consolidate:" in html
         assert "<script" not in html
         assert "http" + "://" not in html
         (fleet_json,) = out.glob("FLEET_*.json")
@@ -129,7 +132,7 @@ class TestFleetOut:
         out = tmp_path / "artifacts"
         code = main(
             ["fig12", "--output", str(out),
-             "--fleet-out", str(out / "fleet.html"),
+             "--report-out", str(out / "report.html"),
              "--carbon-g-per-kwh", "100"]
         )
         capsys.readouterr()

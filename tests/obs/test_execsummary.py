@@ -1,15 +1,17 @@
-"""Executive dashboard renderer and the repro-fleet CLI."""
+"""Executive fleet sections of the run report and their repro-report CLI."""
 
 import json
 
 from repro.obs import build_manifest
-from repro.obs.execsummary import build_and_render, main, render_fleet_dashboard
 from repro.obs.fleet import (
     AuditAssumptions,
+    build_fleet_artifact,
+    build_fleet_summary,
     load_fleet_artifact,
     validate_fleet_artifact,
 )
 from repro.obs.ledger import build_ledger
+from repro.obs.report import main, render_report
 
 FIG12 = {
     "dedicated_servers": 8,
@@ -63,32 +65,42 @@ def _populate(d, *, with_bench=True):
     return d
 
 
-def _render(tmp_path):
-    ledger = build_ledger([_populate(tmp_path / "results")])
-    return build_and_render(
+def _fleet(ledger, assumptions=None):
+    return build_fleet_artifact(
+        build_fleet_summary(ledger, assumptions),
         ledger,
-        AuditAssumptions(),
         git_sha="abc123",
         created_utc="2026-08-08T00:00:00+00:00",
     )
 
 
+def _render(ledger):
+    fleet = _fleet(ledger, AuditAssumptions())
+    return fleet, render_report(fleet=fleet, bench_docs=ledger.bench_docs())
+
+
+def _scan(tmp_path, **kwargs):
+    return build_ledger([_populate(tmp_path / "results", **kwargs)])
+
+
 class TestRenderer:
     def test_sections_present(self, tmp_path):
-        artifact, html = _render(tmp_path)
+        _, html = _render(_scan(tmp_path))
         for heading in (
             "Executive summary",
             "Audit assumptions",
-            "Fidelity verdict grid",
+            "Fidelity scoreboard",
             "Performance trajectory",
             "Run ledger",
         ):
-            assert heading in html
+            assert f"<h2>{heading}</h2>" in html
         assert "Consolidate" in html
         assert "electricity price ($/kWh)" in html
+        # consolidated total: 4 x $625 amortized capex + 8,766 kWh at $0.12
+        assert "$3,551.92" in html
 
     def test_dashboard_is_self_contained(self, tmp_path):
-        _, html = _render(tmp_path)
+        _, html = _render(_scan(tmp_path))
         assert html.startswith("<!DOCTYPE html>")
         assert "<script" not in html
         assert "http://" not in html
@@ -97,56 +109,67 @@ class TestRenderer:
         assert 'src="' not in html  # no external images
 
     def test_bench_sparkline_rendered_inline(self, tmp_path):
-        _, html = _render(tmp_path)
+        _, html = _render(_scan(tmp_path))
         assert "<svg" in html and "polyline" in html
         assert "bench-a" in html
         assert "-20.0%" in html  # 8 ms vs 10 ms first point
 
     def test_no_bench_artifacts_degrades(self, tmp_path):
-        ledger = build_ledger(
-            [_populate(tmp_path / "results", with_bench=False)]
-        )
-        _, html = build_and_render(ledger, git_sha="x")
+        _, html = _render(_scan(tmp_path, with_bench=False))
         assert "No BENCH_*.json artifacts" in html
 
     def test_renders_excluded_and_skipped(self, tmp_path):
         d = _populate(tmp_path / "results")
         (d / "broken.json").write_text("{ nope")
-        ledger = build_ledger([d])
-        _, html = build_and_render(ledger, git_sha="x")
+        other = tmp_path / "other"
+        other.mkdir()
+        manifest = build_manifest({"tool": "t"}, seed=1)
+        manifest["environment"] = {**manifest["environment"], "python": "0.0"}
+        (other / "run_manifest.json").write_text(json.dumps(manifest))
+        (other / "fig13.json").write_text(
+            json.dumps({"experiment": "fig13", "summary": {"x": 1}})
+        )
+        _, html = _render(build_ledger([d, other]))
         assert "skipped during discovery" in html
         assert "truncated or invalid JSON" in html
+        assert "1 result(s) excluded" in html
+        assert "fig13" in html
 
     def test_render_direct_from_loaded_artifact(self, tmp_path):
-        artifact, _ = _render(tmp_path)
-        html = render_fleet_dashboard(artifact, title="custom title")
+        fleet, _ = _render(_scan(tmp_path))
+        path = tmp_path / "FLEET.json"
+        path.write_text(json.dumps(fleet))
+        html = render_report(fleet=load_fleet_artifact(path), title="custom title")
         assert "custom title" in html
         assert "runs hash" in html
+        assert "Executive summary" in html
 
 
 class TestFleetCli:
     def test_end_to_end(self, tmp_path, capsys):
         _populate(tmp_path / "results")
         out = tmp_path / "fleet.html"
-        rc = main(["--scan", str(tmp_path / "results"), "--out", str(out)])
+        rc = main(["--results", str(tmp_path / "results"), "--out", str(out)])
         assert rc == 0
         html = out.read_text()
         assert "<script" not in html and "http" + "://" not in html
+        assert "Executive summary" in html and "Run manifest" in html
         captured = capsys.readouterr()
-        assert "fleet dashboard:" in captured.out
+        assert "report:" in captured.out
         assert "fleet artifact:" in captured.out
+        assert "Consolidate:" in captured.out
         fleet_jsons = list(out.parent.glob("FLEET_*.json"))
         assert len(fleet_jsons) == 1
         doc = load_fleet_artifact(fleet_jsons[0])
         validate_fleet_artifact(doc)
         assert doc["decision"]["recommendation"] == "consolidated"
 
-    def test_custom_assumptions_flow_into_artifact(self, tmp_path):
+    def test_custom_assumptions_flow_into_artifact(self, tmp_path, capsys):
         _populate(tmp_path / "results")
         out = tmp_path / "fleet.html"
         rc = main(
             [
-                "--scan", str(tmp_path / "results"),
+                "--results", str(tmp_path / "results"),
                 "--out", str(out),
                 "--price-usd-per-kwh", "0.30",
                 "--carbon-g-per-kwh", "50",
@@ -157,27 +180,19 @@ class TestFleetCli:
         doc = load_fleet_artifact(fleet_json)
         assert doc["assumptions"]["price_usd_per_kwh"] == 0.30
         assert doc["assumptions"]["carbon_g_per_kwh"] == 50.0
-
-    def test_artifact_dir_empty_string_skips_json(self, tmp_path, capsys):
-        _populate(tmp_path / "results")
-        out = tmp_path / "fleet.html"
-        rc = main(
-            ["--scan", str(tmp_path / "results"), "--out", str(out),
-             "--artifact-dir", ""]
-        )
-        assert rc == 0
-        assert not list(out.parent.glob("FLEET_*.json"))
-        assert "fleet artifact:" not in capsys.readouterr().out
+        assert "$0.3/kWh" in capsys.readouterr().out
 
     def test_empty_directory_one_line_error(self, tmp_path, capsys):
         empty = tmp_path / "nothing"
         empty.mkdir()
         rc = main(
-            ["--scan", str(empty), "--out", str(tmp_path / "fleet.html")]
+            ["--results", str(empty), "--scan", str(empty),
+             "--out", str(tmp_path / "fleet.html")]
         )
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: no run artifacts under")
+        assert len(err.strip().splitlines()) == 1
         assert "repro-experiments" in err
         assert "Traceback" not in err
         assert not (tmp_path / "fleet.html").exists()
@@ -185,4 +200,6 @@ class TestFleetCli:
     def test_invalid_assumption_one_line_error(self, tmp_path, capsys):
         rc = main(["--price-usd-per-kwh", "-1", "--out", str(tmp_path / "f.html")])
         assert rc == 2
-        assert "must be non-negative" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be non-negative" in err
+        assert not (tmp_path / "f.html").exists()

@@ -1,7 +1,5 @@
 """Paper-fidelity scoreboard: tolerance arithmetic, verdicts, artifacts."""
 
-import json
-
 import pytest
 
 from repro.obs import fidelity
@@ -13,7 +11,6 @@ from repro.obs.fidelity import (
     check_expectations,
     evaluate_summaries,
     load_fidelity_artifact,
-    load_results_summaries,
     scoreboard_table,
     validate_fidelity_artifact,
     write_fidelity_artifact,
@@ -204,26 +201,6 @@ class TestEvaluation:
         board = Scoreboard(verdicts=tuple(match + drift + fail))
         assert board.counts == {"match": 1, "drift": 1, "fail": 1}
         assert len(board.drifts) == len(board.fails) == 1
-
-
-class TestLoadResultsSummaries:
-    def test_reads_experiment_artifacts_only(self, tmp_path):
-        (tmp_path / "e1.json").write_text(
-            json.dumps({"experiment": "e1", "summary": {"m": 1}})
-        )
-        (tmp_path / "BENCH_x.json").write_text("{}")
-        (tmp_path / "FIDELITY_x.json").write_text("{}")
-        (tmp_path / "run_manifest.json").write_text(json.dumps({"schema": "x"}))
-        assert load_results_summaries(tmp_path) == {"e1": {"m": 1}}
-
-    def test_missing_directory_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_results_summaries(tmp_path / "nope")
-
-    def test_corrupt_json_raises(self, tmp_path):
-        (tmp_path / "bad.json").write_text("{not json")
-        with pytest.raises(json.JSONDecodeError):
-            load_results_summaries(tmp_path)
 
 
 class TestArtifact:
