@@ -240,13 +240,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "detection) to stderr during the sweep",
     )
     parser.add_argument(
-        "--progress-interval",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="heartbeat period for --progress (default: 5s)",
-    )
-    parser.add_argument(
         "--report-out",
         metavar="FILE",
         help="render the run plus every on-disk artifact of its output "
@@ -284,7 +277,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     reporter = (
         ProgressReporter(
             total=len(names),
-            interval_s=args.progress_interval,
             registry=registry,
             trace=trace,
         )

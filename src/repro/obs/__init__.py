@@ -24,11 +24,9 @@ from .bench import (
     BENCH_SCHEMA,
     BenchResult,
     BenchSpec,
-    bench,
     build_artifact,
     discover_suite,
     merge_artifacts,
-    registered_benchmarks,
     run_specs,
     select_specs,
     validate_artifact,
@@ -161,8 +159,6 @@ __all__ = [
     "BENCH_SCHEMA",
     "BenchSpec",
     "BenchResult",
-    "bench",
-    "registered_benchmarks",
     "discover_suite",
     "select_specs",
     "run_specs",

@@ -1,14 +1,15 @@
-"""Benchmark harness: registration, discovery, timing, and BENCH artifacts.
+"""Benchmark harness: discovery, timing, and BENCH artifacts.
 
 The repo has always *had* benchmarks (``benchmarks/bench_*.py``, one per
 paper artifact) but no recorded performance trajectory — nothing compared
 one commit's timings against another's.  This module closes that loop:
 
-- :func:`bench` registers ad-hoc benchmark callables in-process;
-- :func:`discover_suite` adapts the existing pytest-benchmark suites
+- :func:`discover_suite` adapts the on-disk pytest-benchmark suites
   (``benchmarks/bench_*.py``) without pytest: a lightweight
-  :class:`BenchmarkProxy` stands in for the ``benchmark`` fixture and the
-  harness times the whole test function;
+  :class:`BenchmarkProxy` stands in for the ``benchmark`` fixture, each
+  ``@pytest.mark.parametrize`` case becomes its own spec, and the harness
+  times the whole test function.  The on-disk suite is the only way a
+  benchmark is registered;
 - :func:`run_specs` runs specs with warmup/repeat control, recording wall
   and CPU seconds per repeat plus a tracemalloc allocation pass.  Repeats
   use timeit-style calibrated inner iterations: each timed sample is a
@@ -49,9 +50,6 @@ __all__ = [
     "BenchSpec",
     "BenchResult",
     "BenchmarkProxy",
-    "bench",
-    "registered_benchmarks",
-    "clear_registry",
     "discover_suite",
     "select_specs",
     "run_specs",
@@ -76,42 +74,6 @@ class BenchSpec:
     fn: Callable[[], Any]
     group: str = "default"
     source: str = "registered"
-
-
-_REGISTRY: dict[str, BenchSpec] = {}
-
-
-def bench(
-    fn: Callable[[], Any] | None = None,
-    *,
-    name: str | None = None,
-    group: str = "default",
-):
-    """Register a zero-argument callable as a benchmark.
-
-    Usable bare (``@bench``) or with options (``@bench(group="erlang")``).
-    Registered benchmarks run alongside the discovered on-disk suite in
-    ``repro-bench run``.
-    """
-
-    def apply(f: Callable[[], Any]) -> Callable[[], Any]:
-        spec = BenchSpec(name=name or f.__name__, fn=f, group=group)
-        if spec.name in _REGISTRY:
-            raise ValueError(f"benchmark {spec.name!r} already registered")
-        _REGISTRY[spec.name] = spec
-        return f
-
-    return apply(fn) if fn is not None else apply
-
-
-def registered_benchmarks() -> list[BenchSpec]:
-    """Benchmarks registered via :func:`bench`, in registration order."""
-    return list(_REGISTRY.values())
-
-
-def clear_registry() -> None:
-    """Drop all :func:`bench` registrations (test isolation hook)."""
-    _REGISTRY.clear()
 
 
 class BenchmarkProxy:
@@ -161,8 +123,10 @@ _FIXTURES: dict[str, Callable[[], Any]] = {
 }
 
 
-def _call_with_fixtures(fn: Callable[..., Any], params: tuple[str, ...]) -> Any:
-    return fn(**{p: _FIXTURES[p]() for p in params})
+def _call_with_fixtures(
+    fn: Callable[..., Any], fixtures: tuple[str, ...], case: Mapping[str, Any]
+) -> Any:
+    return fn(**case, **{p: _FIXTURES[p]() for p in fixtures})
 
 
 def _import_bench_module(path: Path):
@@ -191,6 +155,51 @@ def _mark_group(fn: Callable[..., Any]) -> str | None:
     return None
 
 
+def _case_id(ids: Any, argname: str, value: Any, index: int) -> str:
+    # pytest's id rules: a callable ``ids`` first, then scalars by value,
+    # functions and classes by name, anything else as argname + index.
+    if callable(ids):
+        custom = ids(value)
+        if custom is not None:
+            return str(custom)
+    if value is None or isinstance(value, (str, int, float)):
+        return str(value)
+    return getattr(value, "__name__", f"{argname}{index}")
+
+
+def _cases(fn: Callable[..., Any]) -> list[tuple[str, dict[str, Any]]]:
+    """``(id, kwargs)`` for each case of ``fn``'s parametrize marks.
+
+    A function without them has one case, ``("", {})``; stacked marks
+    multiply out, their ids joined with ``-``.
+    """
+    cases: list[tuple[str, dict[str, Any]]] = [("", {})]
+    for mark in getattr(fn, "pytestmark", ()):
+        if getattr(mark, "name", None) != "parametrize":
+            continue
+        argnames, argvalues = mark.args[:2]
+        if isinstance(argnames, str):
+            argnames = [a.strip() for a in argnames.split(",") if a.strip()]
+        ids = mark.kwargs.get("ids")
+        expanded = []
+        for index, values in enumerate(argvalues):
+            values = tuple(values) if len(argnames) > 1 else (values,)
+            if isinstance(ids, (list, tuple)):
+                case_id = str(ids[index])
+            else:
+                case_id = "-".join(
+                    _case_id(ids, name, value, index)
+                    for name, value in zip(argnames, values)
+                )
+            expanded.append((case_id, dict(zip(argnames, values))))
+        cases = [
+            (f"{a}-{b}" if a else b, {**ka, **kb})
+            for a, ka in cases
+            for b, kb in expanded
+        ]
+    return cases
+
+
 def discover_suite(
     bench_dir: str | Path = DEFAULT_BENCH_DIR, pattern: str = "bench_*.py"
 ) -> list[BenchSpec]:
@@ -198,7 +207,8 @@ def discover_suite(
 
     Imports every ``bench_*.py`` under ``bench_dir`` and wraps each
     ``test_*`` function whose only fixtures are ``benchmark``/``rng`` (the
-    two the suite uses).  Names are ``<module>::<function>``; groups come
+    two the suite uses).  Names are ``<module>::<function>``, plus
+    ``[<id>]`` for each ``@pytest.mark.parametrize`` case; groups come
     from ``@pytest.mark.benchmark(group=...)`` when present, else the
     module stem.
     """
@@ -217,16 +227,19 @@ def discover_suite(
             if not callable(fn) or getattr(fn, "__module__", None) != module.__name__:
                 continue
             params = tuple(inspect.signature(fn).parameters)
-            if any(p not in _FIXTURES for p in params):
-                continue  # needs a fixture the adapter cannot supply
-            specs.append(
-                BenchSpec(
-                    name=f"{path.stem}::{attr}",
-                    fn=partial(_call_with_fixtures, fn, params),
-                    group=_mark_group(fn) or path.stem,
-                    source=str(path),
+            for case_id, case in _cases(fn):
+                fixtures = tuple(p for p in params if p not in case)
+                if any(p not in _FIXTURES for p in fixtures):
+                    continue  # needs a fixture the adapter cannot supply
+                specs.append(
+                    BenchSpec(
+                        name=f"{path.stem}::{attr}"
+                        + (f"[{case_id}]" if case_id else ""),
+                        fn=partial(_call_with_fixtures, fn, fixtures, case),
+                        group=_mark_group(fn) or path.stem,
+                        source=str(path),
+                    )
                 )
-            )
     return specs
 
 
@@ -275,8 +288,8 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile (inclusive) over pre-sorted values.
 
     ``q`` is in [0, 100].  Empty input returns ``nan``: no samples, no
-    latency to report (the service SLO tracker, the loadtest and the
-    report's Service section all share this one definition).
+    latency to report (the service SLO tracker and the report's Service
+    section share this one definition).
     """
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")

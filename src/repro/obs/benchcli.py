@@ -9,18 +9,16 @@ Subcommands:
 - ``report``   pretty-print a single artifact;
 - ``ratio``    throughput ratio between two benchmarks of one artifact,
   with an optional ``--min-ratio`` floor (exit 1 below it) — the CI gate
-  keeping the vectorized Erlang kernel >= 10x the scalar loop;
-- ``loadtest`` drive the planner service (an external ``--url`` or a
-  self-spawned in-process server) with the deterministic closed-loop
-  client in :mod:`repro.service.loadtest` and record a ``BENCH_*.json``
-  artifact with throughput, p50/p95/p99 latency, and error rate.
+  keeping the vectorized Erlang kernel >= 10x the scalar loop.
 
 ``run`` executes the on-disk pytest-benchmark suites (``benchmarks/``) via
-the fixture adapter in :mod:`repro.obs.bench` plus anything registered with
-``@bench``; ``--select`` filters by fnmatch against benchmark name or
+the fixture adapter in :mod:`repro.obs.bench`, the only place a benchmark
+is registered; ``--select`` filters by fnmatch against benchmark name or
 group (e.g. ``--select 'bench_table1_model*'``).  ``compare`` exits 1 on a
-"regression" verdict only under ``--fail-on-regression``, so CI can run
-report-only on pull requests and gate pushes.
+"regression" verdict or an errored benchmark only under
+``--fail-on-regression``, so CI can run report-only on pull requests and
+gate pushes.  A benchmark missing from the new artifact ("removed") never
+fails the gate: renames happen.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from .bench import (
     build_artifact,
     discover_suite,
     merge_artifacts,
-    registered_benchmarks,
     run_specs,
     select_specs,
     write_artifact,
@@ -56,20 +53,9 @@ def _fmt_bytes(value: int | None) -> str:
     return f"{value}B"
 
 
-def _collect(args) -> list:
-    # In-process `@bench` registrations live next to the code they measure;
-    # import the registration modules before snapshotting the registry
-    # (discover_suite imports happen too late for that snapshot).
-    from ..control import benchreg  # noqa: F401
-    from ..parallel import benchreg as _parallel_benchreg  # noqa: F401
-
-    specs = registered_benchmarks() + discover_suite(args.bench_dir)
-    return select_specs(specs, args.select)
-
-
 def _cmd_run(args) -> int:
     try:
-        specs = _collect(args)
+        specs = select_specs(discover_suite(args.bench_dir), args.select)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -149,7 +135,7 @@ def _cmd_compare(args) -> int:
         print(json.dumps(comparison.to_doc(), indent=2))
     else:
         print(verdict_table(comparison))
-    if args.fail_on_regression and comparison.verdict == "regression":
+    if args.fail_on_regression and (comparison.regressions or comparison.errors):
         return 1
     return 0
 
@@ -214,74 +200,6 @@ def _cmd_ratio(args) -> int:
         )
         return 1
     return 0
-
-
-def _cmd_loadtest(args) -> int:
-    # Imported lazily: repro.service pulls in the planner CLI stack, which
-    # the other repro-bench subcommands never need.
-    from ..service import PlannerApp, PlannerServer
-    from ..service.loadtest import loadtest_artifact, run_loadtest
-    from .bench import validate_artifact, write_artifact
-
-    server = None
-    if args.url:
-        from urllib.parse import urlparse
-
-        parsed = urlparse(args.url)
-        if parsed.scheme != "http" or not parsed.hostname or not parsed.port:
-            print(
-                f"error: --url must look like http://host:port, got {args.url!r}",
-                file=sys.stderr,
-            )
-            return 2
-        host, port = parsed.hostname, parsed.port
-    else:
-        try:
-            server = PlannerServer(PlannerApp(), port=0)
-        except OSError as exc:
-            print(f"error: cannot start in-process server: {exc}", file=sys.stderr)
-            return 2
-        server.start()
-        host, port = server.host, server.port
-        print(f"in-process server: {server.url}", file=sys.stderr)
-    try:
-        result = run_loadtest(
-            host,
-            port,
-            seed=args.seed,
-            workers=args.workers,
-            duration_s=args.duration if args.requests is None else None,
-            total_requests=args.requests,
-            distinct=args.distinct,
-            warmup=not args.no_warmup,
-        )
-    except OSError as exc:
-        print(f"error: loadtest against {host}:{port} failed: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if server is not None:
-            server.drain()
-            server.close()
-    artifact = loadtest_artifact(result)
-    validate_artifact(artifact)
-    try:
-        path = write_artifact(artifact, args.out)
-    except OSError as exc:
-        print(f"error: cannot write bench artifact under {args.out}: {exc}", file=sys.stderr)
-        return 1
-    summary = result.summary()
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        print(
-            f"loadtest: {summary['requests']} requests in {summary['duration_s']}s "
-            f"-> {summary['throughput_rps']} req/s  "
-            f"p50={summary['p50_ms']}ms p95={summary['p95_ms']}ms "
-            f"p99={summary['p99_ms']}ms  error_rate={summary['error_rate']}"
-        )
-    # With --json, stdout must stay machine-parseable.
-    print(f"bench artifact: {path}", file=sys.stderr if args.json else sys.stdout)
-    return 1 if result.errors else 0
 
 
 def _cmd_report(args) -> int:
@@ -374,7 +292,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     cmp_p.add_argument(
         "--fail-on-regression",
         action="store_true",
-        help="exit 1 when the verdict is 'regression'",
+        help="exit 1 when the verdict is 'regression' or a benchmark "
+        "errored in either artifact",
     )
     cmp_p.add_argument("--json", action="store_true", help="emit the comparison JSON")
     cmp_p.set_defaults(fn=_cmd_compare)
@@ -412,46 +331,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="exit 1 when slow/fast falls below this speedup factor",
     )
     ratio_p.set_defaults(fn=_cmd_ratio)
-
-    load_p = sub.add_parser(
-        "loadtest",
-        help="closed-loop load test against the planner service; writes a "
-        "BENCH_*.json artifact with throughput and tail latency",
-    )
-    load_p.add_argument(
-        "--url",
-        metavar="URL",
-        help="target http://host:port (default: spawn an in-process server "
-        "on an ephemeral port)",
-    )
-    load_p.add_argument(
-        "--duration", type=float, default=10.0, metavar="SECONDS",
-        help="closed-loop run length (default %(default)ss; ignored with --requests)",
-    )
-    load_p.add_argument(
-        "--requests", type=int, default=None, metavar="N",
-        help="stop after N total requests instead of a fixed duration",
-    )
-    load_p.add_argument(
-        "--workers", type=int, default=4, help="client threads (default %(default)s)"
-    )
-    load_p.add_argument(
-        "--seed", type=int, default=2009,
-        help="mix-generator seed (default %(default)s)",
-    )
-    load_p.add_argument(
-        "--distinct", type=int, default=64,
-        help="distinct request bodies in the mix (default %(default)s)",
-    )
-    load_p.add_argument(
-        "--no-warmup", action="store_true",
-        help="skip the one-pass cache warmup (records cold-cache numbers)",
-    )
-    load_p.add_argument(
-        "--out", default=".", metavar="DIR", help="artifact directory (default: .)"
-    )
-    load_p.add_argument("--json", action="store_true", help="emit the summary JSON")
-    load_p.set_defaults(fn=_cmd_loadtest)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -11,7 +11,10 @@ machines reaches ~15% on multi-millisecond benches and worse below a
 millisecond, so a tighter default would flag phantom regressions.
 
 The overall verdict string is exactly ``"regression"`` or
-``"no regression"`` so gates (CI, scripts) can match on it.
+``"no regression"`` so gates (CI, scripts) can match on it.  A benchmark
+that failed in either artifact gets the ``"error"`` verdict instead of a
+timing verdict; ``repro-bench compare --fail-on-regression`` fails on
+those too.
 """
 
 from __future__ import annotations
@@ -205,6 +208,7 @@ def verdict_table(comparison: Comparison) -> str:
         f"verdict: {comparison.verdict} "
         f"({len(comparison.regressions)} regressions, "
         f"{len(comparison.improvements)} improvements, "
+        f"{len(comparison.errors)} errors, "
         f"threshold ±{100.0 * comparison.threshold:.0f}% on median {comparison.metric})"
     )
     return "\n".join(lines)

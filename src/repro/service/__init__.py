@@ -5,19 +5,19 @@ stdlib-only threaded HTTP service (`repro-serve`) answering
 "how many servers / what placement for this service mix" queries
 (``POST /plan``) at high request rates, with first-class operational
 telemetry — live Prometheus ``/metrics``, per-request trace spans and a
-structured JSONL access log, SLO attainment + error-budget burn tracking
-wired into the shared alarm vocabulary, and a deterministic closed-loop
-load-test client writing append-only ``BENCH_*.json`` artifacts.
+structured JSONL access log, and SLO attainment + error-budget burn
+tracking wired into the shared alarm vocabulary.  HTTP load is measured
+from outside: ``benchmarks/bench_service_plan.py`` times one warm
+``POST /plan`` and ``perfbench`` (``plan_hot``/``plan_cold``) drives
+paced load against fresh servers.
 
 Layering: :mod:`.app` is the socket-free request core (unit-testable by
 direct invocation), :mod:`.server` the ``http.server`` adapter and CLI,
-:mod:`.slo` and :mod:`.accesslog` the operational state, and
-:mod:`.loadtest` the client.
+and :mod:`.slo` and :mod:`.accesslog` the operational state.
 """
 
 from .accesslog import ACCESS_SCHEMA, AccessLog, NullAccessLog, load_access_log
 from .app import JSON_CONTENT_TYPE, PlannerApp, Response
-from .loadtest import LoadTestResult, MixGenerator, loadtest_artifact, run_loadtest
 from .server import PlannerServer
 from .slo import SLOTracker, percentile
 
@@ -29,10 +29,6 @@ __all__ = [
     "JSON_CONTENT_TYPE",
     "PlannerApp",
     "Response",
-    "LoadTestResult",
-    "MixGenerator",
-    "loadtest_artifact",
-    "run_loadtest",
     "PlannerServer",
     "SLOTracker",
     "percentile",

@@ -40,7 +40,7 @@ class _Handler(BaseHTTPRequestHandler):
     """Thin adapter: socket I/O in, ``app.handle`` out."""
 
     # Keep-alive needs HTTP/1.1 + explicit Content-Length (we always set
-    # one), which is what lets closed-loop loadtest workers reuse sockets.
+    # one), which is what lets keep-alive clients reuse sockets.
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
     # Headers and body go out as separate small writes; with Nagle on,

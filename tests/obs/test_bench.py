@@ -1,7 +1,9 @@
-"""Tests for the benchmark harness (registration, discovery, artifacts)."""
+"""Tests for the benchmark harness (discovery, timing, artifacts)."""
 
+import ast
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,48 +24,11 @@ from repro.obs import (
 from repro.obs.bench import (
     CALIBRATION_PROBES,
     BenchmarkProxy,
-    bench,
-    clear_registry,
     detect_git_sha,
     merge_artifacts,
-    registered_benchmarks,
 )
 
-
-@pytest.fixture(autouse=True)
-def _clean_registry():
-    clear_registry()
-    yield
-    clear_registry()
-
-
-class TestRegistration:
-    def test_bare_decorator(self):
-        @bench
-        def my_bench():
-            return 1
-
-        (spec,) = registered_benchmarks()
-        assert spec.name == "my_bench"
-        assert spec.group == "default"
-        assert spec.fn() == 1
-
-    def test_decorator_with_options(self):
-        @bench(name="erlang-inv", group="queueing")
-        def f():
-            pass
-
-        (spec,) = registered_benchmarks()
-        assert spec.name == "erlang-inv"
-        assert spec.group == "queueing"
-
-    def test_duplicate_name_rejected(self):
-        @bench
-        def dup():
-            pass
-
-        with pytest.raises(ValueError, match="already registered"):
-            bench(name="dup")(lambda: None)
+BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
 class TestBenchmarkProxy:
@@ -121,12 +86,57 @@ class TestDiscovery:
         with pytest.raises(FileNotFoundError):
             discover_suite(tmp_path / "nope")
 
+    def test_parametrize_expands_one_spec_per_case(self, tmp_path):
+        (tmp_path / "bench_cases.py").write_text(
+            "import pytest\n"
+            "\n"
+            "@pytest.mark.benchmark(group='cases')\n"
+            "@pytest.mark.parametrize('n,rho', [(1, 0.5), (8, 4.0)],\n"
+            "                         ids=['small', 'large'])\n"
+            "def test_listed_ids(benchmark, n, rho):\n"
+            "    assert benchmark(lambda: n * rho) > 0\n"
+            "\n"
+            "@pytest.mark.parametrize('s', [8, 64], ids=lambda s: f'S{s}')\n"
+            "def test_callable_ids(s):\n"
+            "    assert s in (8, 64)\n"
+            "\n"
+            "@pytest.mark.parametrize('policy', ['rr', 'lc'])\n"
+            "@pytest.mark.parametrize('scale', [0.5, 2])\n"
+            "def test_default_ids(policy, scale, rng):\n"
+            "    assert policy in ('rr', 'lc') and scale in (0.5, 2)\n"
+        )
+        specs = {s.name: s for s in discover_suite(tmp_path)}
+        assert sorted(specs) == [
+            "bench_cases::test_callable_ids[S64]",
+            "bench_cases::test_callable_ids[S8]",
+            "bench_cases::test_default_ids[0.5-lc]",
+            "bench_cases::test_default_ids[0.5-rr]",
+            "bench_cases::test_default_ids[2-lc]",
+            "bench_cases::test_default_ids[2-rr]",
+            "bench_cases::test_listed_ids[large]",
+            "bench_cases::test_listed_ids[small]",
+        ]
+        assert specs["bench_cases::test_listed_ids[small]"].group == "cases"
+        for spec in specs.values():
+            spec.fn()  # each case gets its own arguments plus the fixtures
+
     def test_real_suite_discovery(self):
-        specs = discover_suite("benchmarks")
+        specs = discover_suite(BENCH_DIR)
         names = {s.name for s in specs}
         assert "bench_table1_model::test_table1_rows" in names
         assert "bench_fixed_point::test_reduced_load_fixed_point" in names
-        assert len(specs) >= 40
+        for kernel in ("test_recurrence", "test_log_domain", "test_continuous"):
+            for case in ("small", "medium", "large"):
+                assert f"bench_ablation_erlang::{kernel}[{case}]" in names
+        # Every test_* function on disk is adapted, parametrized or not.
+        on_disk = {
+            f"{path.stem}::{node.name}"
+            for path in BENCH_DIR.glob("bench_*.py")
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+        }
+        assert {name.split("[")[0] for name in names} == on_disk
+        assert len(specs) >= 80
 
     def test_select_by_name_and_group(self, tmp_path):
         specs = discover_suite(_write_suite(tmp_path))

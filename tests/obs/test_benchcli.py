@@ -134,6 +134,35 @@ class TestCompare:
         assert code == 1
         assert "verdict: regression" in capsys.readouterr().out
 
+    def test_fail_on_regression_fails_on_errored_benchmark(
+        self, two_artifacts, tmp_path, capsys
+    ):
+        base, _ = two_artifacts
+        doc = json.loads(base.read_text())
+        doc["benchmarks"][0].update(ok=False, error="RuntimeError: kaput")
+        errored = tmp_path / "errored.json"
+        errored.write_text(json.dumps(doc))
+        assert main(["compare", str(base), str(errored)]) == 0  # report-only
+        capsys.readouterr()
+        code = main(["compare", str(base), str(errored), "--fail-on-regression"])
+        assert code == 1
+        assert "1 errors" in capsys.readouterr().out
+
+    def test_fail_on_regression_ignores_removed_benchmark(
+        self, two_artifacts, tmp_path, capsys
+    ):
+        base, _ = two_artifacts
+        doc = json.loads(base.read_text())
+        doc["benchmarks"] = doc["benchmarks"][:1]
+        trimmed = tmp_path / "trimmed.json"
+        trimmed.write_text(json.dumps(doc))
+        code = main(
+            ["compare", str(base), str(trimmed), "--fail-on-regression",
+             "--threshold", "20.0"]
+        )
+        assert code == 0
+        assert "removed" in capsys.readouterr().out
+
     def test_json_output(self, two_artifacts, capsys):
         base, new = two_artifacts
         assert main(["compare", str(base), str(new), "--json", "--threshold", "20"]) == 0

@@ -5,11 +5,23 @@ file covers the mechanics it relies on — seed derivation, chunking,
 ordering, stats accounting, and the graceful pool fallback.
 """
 
+from pathlib import Path
+
 import pytest
 
-from repro.obs import MetricsRegistry, TraceLog, scoped_registry, scoped_trace
+from repro.obs import (
+    MetricsRegistry,
+    TraceLog,
+    discover_suite,
+    scoped_registry,
+    scoped_trace,
+)
+from repro.obs.bench import _import_bench_module
 from repro.parallel import ParallelSweep, chunk_grid, seed_for, sweep_map
 from repro.parallel import sweep as sweep_mod
+
+
+BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
 def _square(x):
@@ -158,32 +170,17 @@ def _divide_by_zero(x):
 
 
 class TestRegisteredBenchmarks:
+    """The on-disk sweep benchmark, as ``repro-bench run`` discovers it."""
+
     def test_bench_workload_is_deterministic(self):
-        from repro.parallel import benchreg
+        # The timed bodies skip the pool-equals-serial check; this runs
+        # the benchmark's own task function through a real pool once.
+        bench = _import_bench_module(BENCH_DIR / "bench_parallel_sweep.py")
+        rows = bench.run_sweep(1)
+        assert len(rows) == len(bench.GRID)
+        assert bench.run_sweep(4) == rows
 
-        rows = benchreg.run_sweep(1)
-        assert len(rows) == len(benchreg.GRID)
-        assert rows == benchreg.bench_parallel_sweep_serial()
-        assert rows == benchreg.bench_parallel_sweep_jobs4()
-
-    def test_import_registers_both_variants(self):
-        # In a fresh interpreter (the repro-bench CLI's situation — the
-        # in-process registry here may have been cleared by other tests),
-        # importing benchreg must register the serial and jobs4 specs.
-        import subprocess
-        import sys
-
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import repro.parallel.benchreg\n"
-                "from repro.obs.bench import registered_benchmarks\n"
-                "print(sorted(s.name for s in registered_benchmarks()))",
-            ],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert "parallel_sweep::jobs4" in out.stdout
-        assert "parallel_sweep::serial" in out.stdout
+    def test_discovery_lists_both_variants(self):
+        names = {s.name for s in discover_suite(BENCH_DIR)}
+        assert "bench_parallel_sweep::test_parallel_sweep[serial]" in names
+        assert "bench_parallel_sweep::test_parallel_sweep[jobs4]" in names
