@@ -8,6 +8,14 @@ gate: the lockstep kernel must stay >= 10x the scalar loop
 bench_vectorized_grid::test_vectorized_100k --min-ratio 10``).  The
 1M-point grid is the headline single-call size.
 
+The ``test_cache_grid_*`` cases time the memoized batch entry point,
+``ErlangCache.min_servers_grid``, which the model calls with two or three
+loads at a time.  ``test_cache_grid_misses`` solves an all-miss batch on a
+fresh cache each round, at sizes on both sides of the cache's
+scalar/lockstep cutoff (``repro.queueing.cache.GRID_SCALAR_CUTOFF``);
+``test_cache_grid_hits`` answers a two-point batch from a cache warmed at
+import.
+
 The timed bodies are the solve plus shape checks.  That the lockstep
 kernel reproduces the scalar loop's fleet sizes element for element is
 pinned in ``tests/queueing/test_vectorized.py`` (the
@@ -18,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.queueing import vectorized
+from repro.queueing.cache import ErlangCache
 from repro.queueing.erlang import min_servers
 
 #: Grid size of the ratio-gated pair.
@@ -46,6 +55,16 @@ def solve_vectorized(points: int) -> np.ndarray:
     return vectorized.min_servers(rho, target)
 
 
+def cache_loads(points: int) -> list[float]:
+    """Deterministic loads spread over the control loop's range, [1, 300]."""
+    return np.linspace(1.0, 300.0, points).tolist()
+
+
+def solve_cache_misses(points: int) -> np.ndarray:
+    """One all-miss batch through a fresh cache."""
+    return ErlangCache().min_servers_grid(cache_loads(points), 0.01)
+
+
 def _check(sizes: np.ndarray, points: int) -> None:
     assert len(sizes) == points
     # Fleet sizes grow with offered load across the grid.
@@ -65,3 +84,21 @@ def test_vectorized_100k(benchmark):
 @pytest.mark.benchmark(group="vectorized-grid")
 def test_vectorized_1m(benchmark):
     _check(benchmark(solve_vectorized, MILLION), MILLION)
+
+
+@pytest.mark.benchmark(group="vectorized-grid")
+@pytest.mark.parametrize("points", [2, 64, 256])
+def test_cache_grid_misses(benchmark, points):
+    _check(benchmark(solve_cache_misses, points), points)
+
+
+#: Loads and a cache warmed with them once at import, so the timed body
+#: is the hit path alone.
+HIT_LOADS = cache_loads(2)
+WARM_CACHE = ErlangCache()
+WARM_CACHE.min_servers_grid(HIT_LOADS, 0.01)
+
+
+@pytest.mark.benchmark(group="vectorized-grid")
+def test_cache_grid_hits(benchmark):
+    _check(benchmark(WARM_CACHE.min_servers_grid, HIT_LOADS, 0.01), 2)

@@ -201,7 +201,9 @@ def _cases(fn: Callable[..., Any]) -> list[tuple[str, dict[str, Any]]]:
 
 
 def discover_suite(
-    bench_dir: str | Path = DEFAULT_BENCH_DIR, pattern: str = "bench_*.py"
+    bench_dir: str | Path = DEFAULT_BENCH_DIR,
+    pattern: str = "bench_*.py",
+    select: Sequence[str] | None = None,
 ) -> list[BenchSpec]:
     """Adapt the on-disk pytest-benchmark suite into :class:`BenchSpec` s.
 
@@ -211,15 +213,31 @@ def discover_suite(
     ``[<id>]`` for each ``@pytest.mark.parametrize`` case; groups come
     from ``@pytest.mark.benchmark(group=...)`` when present, else the
     module stem.
+
+    When every ``select`` pattern names a module (``<module>::...``), only
+    the modules whose stem matches one of those prefixes are imported, so
+    one broken bench file cannot fail an unrelated selection.  Group
+    patterns need every module: groups come from marks.  Filtering the
+    specs themselves is :func:`select_specs`'s job.
     """
     bench_dir = Path(bench_dir)
     if not bench_dir.is_dir():
         raise FileNotFoundError(f"benchmark directory not found: {bench_dir}")
+    stems = (
+        [p.split("::", 1)[0] for p in select]
+        if select and all("::" in p for p in select)
+        else None
+    )
     specs: list[BenchSpec] = []
     for path in sorted(bench_dir.glob(pattern)):
         if path.stem == "conftest":
             continue
-        module = _import_bench_module(path)
+        if stems is not None and not any(fnmatch(path.stem, s) for s in stems):
+            continue
+        try:
+            module = _import_bench_module(path)
+        except Exception as exc:
+            raise ImportError(f"cannot import benchmark module {path}: {exc}") from exc
         for attr in sorted(vars(module)):
             if not attr.startswith("test_"):
                 continue

@@ -14,7 +14,9 @@ Subcommands:
 ``run`` executes the on-disk pytest-benchmark suites (``benchmarks/``) via
 the fixture adapter in :mod:`repro.obs.bench`, the only place a benchmark
 is registered; ``--select`` filters by fnmatch against benchmark name or
-group (e.g. ``--select 'bench_table1_model*'``).  ``compare`` exits 1 on a
+group (e.g. ``--select 'bench_table1_model*'``); when every pattern has a
+``module::`` prefix only the matching modules are imported, and a module
+that fails to import exits 2 with one line.  ``compare`` exits 1 on a
 "regression" verdict or an errored benchmark only under
 ``--fail-on-regression``, so CI can run report-only on pull requests and
 gate pushes.  A benchmark missing from the new artifact ("removed") never
@@ -55,8 +57,10 @@ def _fmt_bytes(value: int | None) -> str:
 
 def _cmd_run(args) -> int:
     try:
-        specs = select_specs(discover_suite(args.bench_dir), args.select)
-    except FileNotFoundError as exc:
+        specs = select_specs(
+            discover_suite(args.bench_dir, select=args.select), args.select
+        )
+    except (FileNotFoundError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not specs:

@@ -1,13 +1,14 @@
-"""Parallel sweep engine + shared Erlang-inversion cache.
+"""Parallel sweep engine.
 
 The throughput layer of the reproduction: :mod:`repro.parallel.sweep`
 fans independent grid points out over a process pool with a bit-identical
-serial reference path, and :mod:`repro.parallel.cache` memoizes the
-Erlang-B inversions every sweep point leans on.  Determinism is a tested
-contract, not an aspiration — see ``tests/parallel/``.
+serial reference path.  The Erlang-inversion cache every sweep point
+leans on lives in :mod:`repro.queueing.cache` and is re-exported here.
+Determinism is a tested contract, not an aspiration — see
+``tests/parallel/``.
 """
 
-from .cache import (
+from ..queueing.cache import (
     ErlangCache,
     cached_erlang_b,
     cached_min_servers,

@@ -25,7 +25,7 @@ chunk ships its hit/miss/eviction deltas back with its results and the
 sweep folds them into the parent's metrics registry (label
 ``origin="workers"``).  Chunks run inline mutate the parent's cache
 directly; those counters reach the registry through
-:func:`repro.parallel.cache.record_cache_metrics` (label
+:func:`repro.queueing.cache.record_cache_metrics` (label
 ``origin="parent"``), so nothing is ever counted twice.
 """
 
@@ -39,7 +39,7 @@ from time import perf_counter
 from typing import Any, Callable, Iterator, Sequence
 
 from ..obs import get_registry, get_trace
-from .cache import shared_cache
+from ..queueing.cache import shared_cache
 
 __all__ = [
     "seed_for",
@@ -355,7 +355,7 @@ class ParallelSweep:
             if amount:
                 registry.counter(
                     f"erlang_cache_{key}_total",
-                    help=f"shared Erlang-cache {key} (see repro.parallel.cache)",
+                    help=f"shared Erlang-cache {key} (see repro.queueing.cache)",
                     labels=labels,
                 ).inc(amount)
 

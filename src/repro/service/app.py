@@ -11,7 +11,7 @@ drive it by direct invocation and the socket layer
   body, which both guarantees byte-identical answers for identical
   requests and makes the warm-cache path allocation-light; the Erlang
   inversions underneath share the process-wide
-  :func:`repro.parallel.cache.shared_cache`.
+  :func:`repro.queueing.cache.shared_cache`.
 - ``GET /metrics`` — live Prometheus text exposition of the app's
   registry (request counters by endpoint/status, latency histograms,
   in-flight gauge, shared-cache counters, uptime).
@@ -39,7 +39,7 @@ from ..cli import DeploymentError, _build_report, _report_json, parse_deployment
 from ..obs.export import PROMETHEUS_CONTENT_TYPE, prometheus_text
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import TraceLog
-from ..parallel.cache import record_cache_metrics, shared_cache
+from ..queueing.cache import record_cache_metrics, shared_cache
 from .accesslog import NullAccessLog
 from .slo import SLOTracker
 

@@ -28,7 +28,7 @@ def _fresh_erlang_cache():
     behaviour (and anything downstream, like which instrumented solvers
     actually run) would depend on suite ordering.
     """
-    from repro.parallel.cache import shared_cache
+    from repro.queueing.cache import shared_cache
 
     shared_cache().clear()
     yield

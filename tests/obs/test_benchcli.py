@@ -79,6 +79,20 @@ class TestRun:
         assert _run(suite_dir, tmp_path / "out", "--select", "zzz") == 2
         assert "no benchmarks match" in capsys.readouterr().err
 
+    def test_module_select_skips_a_broken_module(self, suite_dir, tmp_path, capsys):
+        (suite_dir / "bench_broken.py").write_text("def test_x(:\n")
+        assert _run(suite_dir, tmp_path / "out", "--select", "bench_quick::*") == 0
+        capsys.readouterr()
+        (artifact,) = (tmp_path / "out").glob("BENCH_*.json")
+        names = [e["name"] for e in json.loads(artifact.read_text())["benchmarks"]]
+        assert names == ["bench_quick::test_sorted", "bench_quick::test_sum"]
+        # A group pattern needs every module's marks, so the broken one is
+        # imported and the run fails with one line naming it.
+        assert _run(suite_dir, tmp_path / "out2", "--select", "quick") == 2
+        err = capsys.readouterr().err
+        assert "bench_broken.py" in err and err.count("\n") == 1
+        assert not (tmp_path / "out2").exists()
+
     def test_missing_bench_dir_errors(self, tmp_path, capsys):
         assert main(["run", "--bench-dir", str(tmp_path / "nope")]) == 2
         assert "not found" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from repro.cluster.dispatcher import (
 )
 from repro.core import ModelInputs, ResourceKind, ServiceSpec, UtilityAnalyticModel
 from repro.obs import scoped_registry, scoped_trace
+from repro.queueing.cache import GRID_SCALAR_CUTOFF, ErlangCache
 from repro.queueing.erlang import min_servers, min_servers_continuous
 from repro.simulation.engine import Simulator
 
@@ -191,6 +192,23 @@ class TestErlangInstrumentation:
             )
             assert calls.value == 1
             assert iterations.value > 0
+
+    @pytest.mark.parametrize(
+        "points, method, calls", [(2, "recurrence", 2), (256, "vectorized", 1)]
+    )
+    def test_grid_label_follows_the_cutoff(self, points, method, calls):
+        # Below the cutoff a batch records one recurrence inversion per
+        # lane; at or above it, one vectorized entry for the whole batch.
+        assert 2 < GRID_SCALAR_CUTOFF <= 256
+        other = {"recurrence": "vectorized", "vectorized": "recurrence"}[method]
+        with scoped_registry() as reg:
+            ErlangCache().min_servers_grid(np.linspace(1.0, 300.0, points), 0.01)
+            assert reg.counter(
+                "erlang_inversion_calls_total", labels={"method": method}
+            ).value == calls
+            assert reg.counter(
+                "erlang_inversion_calls_total", labels={"method": other}
+            ).value == 0
 
     def test_agreement_is_not_perturbed_by_instrumentation(self):
         with scoped_registry():

@@ -2,18 +2,20 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import MetricsRegistry
-from repro.parallel.cache import (
+from repro.obs import MetricsRegistry, scoped_registry
+from repro.queueing import erlang, vectorized
+from repro.queueing.cache import (
+    GRID_SCALAR_CUTOFF,
     ErlangCache,
     configure_shared_cache,
     record_cache_metrics,
     shared_cache,
 )
-from repro.queueing import erlang
 
 # Loads/targets spanning the paper's operating range; values are drawn on
 # the cache's rounding grid so cached and uncached calls see identical
@@ -251,8 +253,6 @@ class TestMinServersGrid:
         assert stats["hits"] == 1 and stats["misses"] == 2
 
     def test_broadcasts_and_preserves_shape(self):
-        import numpy as np
-
         cache = ErlangCache()
         rho = np.linspace(1.0, 20.0, 6).reshape(3, 2)
         out = cache.min_servers_grid(rho, 0.01)
@@ -265,3 +265,111 @@ class TestMinServersGrid:
         cache.min_servers_grid([1.0 + i for i in range(30)], 0.01)
         assert len(cache) <= 8
         assert cache.stats()["evictions"] == 30 - 8
+
+
+#: Batch sizes on both sides of the scalar/lockstep cutoff.
+CUTOFF_SIZES = [1, GRID_SCALAR_CUTOFF - 1, GRID_SCALAR_CUTOFF, 4 * GRID_SCALAR_CUTOFF]
+
+
+def _batch(seed: int, size: int) -> tuple[list[float], list[float]]:
+    """Seeded loads on [0, 300] with zeros and in-batch duplicates, per-point targets."""
+    rng = np.random.default_rng(seed)
+    rho = np.round(rng.uniform(0.0, 300.0, size), 3)
+    rho[rng.random(size) < 0.1] = 0.0
+    target = rng.choice([0.05, 0.01, 0.001, 1e-4], size)
+    dup = rng.random(size) < 0.2
+    src = rng.integers(0, size, size)
+    rho[dup], target[dup] = rho[src[dup]], target[src[dup]]
+    return rho.tolist(), target.tolist()
+
+
+class TestGridCutoffDifferential:
+    """``min_servers_grid`` equals per-point ``min_servers`` on both sides of the cutoff."""
+
+    @pytest.mark.parametrize("size", CUTOFF_SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_values_match_per_point_inversions(self, seed, size):
+        rho, target = _batch(seed, size)
+        expected = [erlang.min_servers(r, t) for r, t in zip(rho, target)]
+        assert ErlangCache().min_servers_grid(rho, target).tolist() == expected
+        got = ErlangCache().min_servers_grid(np.array(rho), np.array(target))
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize("size", CUTOFF_SIZES)
+    def test_two_dimensional_broadcast(self, size):
+        rho, _ = _batch(7, size)
+        column = np.array(rho).reshape(-1, 1)
+        row = np.array([[0.02, 0.001]])
+        got = ErlangCache().min_servers_grid(column, row)
+        assert got.shape == (size, 2)
+        expected = [[erlang.min_servers(r, t) for t in (0.02, 0.001)] for r in rho]
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize("size", CUTOFF_SIZES)
+    @pytest.mark.parametrize("maxsize", [8, 65536])
+    def test_counters_and_lru_move_as_per_point_calls(self, size, maxsize):
+        rho, target = _batch(3, size)
+        batched, per_point = ErlangCache(maxsize), ErlangCache(maxsize)
+        # The same warm state on both: a few of the batch's points, cached.
+        for cache in (batched, per_point):
+            for r, t in zip(rho[::5], target[::5]):
+                cache.min_servers(r, t)
+        batched.min_servers_grid(rho, target)
+        for r, t in zip(rho, target):
+            per_point.min_servers(r, t)
+        assert batched.stats() == per_point.stats()
+        assert list(batched._store.items()) == list(per_point._store.items())
+
+    def test_duplicates_inside_one_batch_are_solved_once(self):
+        cache = ErlangCache()
+        with scoped_registry() as reg:
+            cache.min_servers_grid([40.0, 40.0, 7.5, 40.0], 0.01)
+            solved = reg.counter(
+                "erlang_inversion_calls_total", labels={"method": "recurrence"}
+            ).value
+        assert solved == 2
+        assert cache.stats()["misses"] == 2
+        assert cache.stats()["hits"] == 2
+
+    @pytest.mark.parametrize("size", [2, GRID_SCALAR_CUTOFF - 1, GRID_SCALAR_CUTOFF, 256])
+    @pytest.mark.parametrize(
+        "bad_rho, bad_target",
+        [
+            (-1.0, 2.0),
+            (math.nan, 0.0),
+            (math.inf, math.nan),
+            (-3.0, 0.01),
+            (math.nan, 0.01),
+        ],
+    )
+    def test_errors_match_the_array_entry_point(self, size, bad_rho, bad_target):
+        rho = [5.0 + i for i in range(size)]
+        target = [0.01] * size
+        rho[size // 2] = bad_rho
+        target[-1] = bad_target
+        with pytest.raises(ValueError) as want:
+            vectorized.min_servers(np.array(rho), np.array(target))
+        cache = ErlangCache()
+        cache.min_servers_grid(rho[: size // 2], 0.01)  # cached points do not hide errors
+        with pytest.raises(ValueError) as got:
+            cache.min_servers_grid(rho, target)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError) as got_arrays:
+            ErlangCache().min_servers_grid(np.array(rho), np.array(target))
+        assert str(got_arrays.value) == str(want.value)
+
+    def test_first_offending_target_is_reported_by_check_not_position(self):
+        # The array validators check finiteness over every target before
+        # the range; the batch reports the NaN, not the earlier 2.0.
+        with pytest.raises(ValueError, match="finite, got nan"):
+            ErlangCache().min_servers_grid([1.0, 2.0], [2.0, math.nan])
+
+
+def test_parallel_cache_reexports_the_same_objects():
+    import repro.parallel
+    import repro.parallel.cache as old_path
+    import repro.queueing.cache as new_path
+
+    for name in old_path.__all__:
+        assert getattr(old_path, name) is getattr(new_path, name)
+        assert getattr(repro.parallel, name) is getattr(new_path, name)
