@@ -1,6 +1,5 @@
 """Analysis helpers: regression, simulation-output statistics, reporting."""
 
-from .convergence import SequentialEstimate, run_until_precise
 from .regression import LinearFit, fit_line, r_squared, residuals
 from .report import format_kv, format_series, format_table
 from .stats import (
@@ -22,6 +21,4 @@ __all__ = [
     "BatchMeansResult",
     "exponential_ks_test",
     "poisson_dispersion",
-    "SequentialEstimate",
-    "run_until_precise",
 ]

@@ -28,7 +28,6 @@ from typing import Mapping
 
 from ..obs import get_registry
 from ..queueing.cache import cached_erlang_b as erlang_b
-from ..queueing.cache import cached_min_servers as min_servers
 from ..queueing.cache import cached_min_servers_grid as min_servers_grid
 from .inputs import ModelInputs, ResourceKind, ServiceSpec
 

@@ -12,9 +12,7 @@ from ..queueing.cache import (
     ErlangCache,
     cached_erlang_b,
     cached_min_servers,
-    cached_min_servers_continuous,
     cached_min_servers_grid,
-    configure_shared_cache,
     record_cache_metrics,
     shared_cache,
 )
@@ -33,10 +31,8 @@ __all__ = [
     "SweepStats",
     "cached_erlang_b",
     "cached_min_servers",
-    "cached_min_servers_continuous",
     "cached_min_servers_grid",
     "chunk_grid",
-    "configure_shared_cache",
     "record_cache_metrics",
     "seed_for",
     "shared_cache",

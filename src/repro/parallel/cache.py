@@ -12,9 +12,7 @@ from ..queueing.cache import (
     ErlangCache,
     cached_erlang_b,
     cached_min_servers,
-    cached_min_servers_continuous,
     cached_min_servers_grid,
-    configure_shared_cache,
     record_cache_metrics,
     shared_cache,
 )
@@ -22,9 +20,7 @@ from ..queueing.cache import (
 __all__ = [
     "ErlangCache",
     "shared_cache",
-    "configure_shared_cache",
     "cached_min_servers",
-    "cached_min_servers_continuous",
     "cached_min_servers_grid",
     "cached_erlang_b",
     "record_cache_metrics",

@@ -34,9 +34,10 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import ceil
 from time import perf_counter
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..obs import get_registry, get_trace
 from ..queueing.cache import shared_cache
@@ -73,6 +74,15 @@ def chunk_grid(grid: Sequence[Any], chunk_size: int) -> Iterator[tuple[int, list
         yield start, list(grid[start : start + chunk_size])
 
 
+_CACHE_COUNTERS = ("hits", "misses", "evictions")
+
+
+def _cache_delta(before: dict[str, int]) -> dict[str, int]:
+    """This process's shared-cache counter movement since ``before``."""
+    after = shared_cache().stats()
+    return {key: after[key] - before[key] for key in _CACHE_COUNTERS}
+
+
 def _run_chunk(
     fn: Callable[..., Any],
     base_seed: int | None,
@@ -84,17 +94,14 @@ def _run_chunk(
     Module-level so it pickles for the process pool; the serial path runs
     this same code inline, so both paths execute identical calls.
     """
-    cache = shared_cache()
-    before = cache.stats()
+    before = shared_cache().stats()
     results = []
     for offset, item in enumerate(items):
         if base_seed is None:
             results.append(fn(item))
         else:
             results.append(fn(item, seed=seed_for(base_seed, start_index + offset)))
-    after = cache.stats()
-    delta = {key: after[key] - before[key] for key in ("hits", "misses", "evictions")}
-    return results, delta
+    return results, _cache_delta(before)
 
 
 def _run_grid_chunk(
@@ -112,8 +119,7 @@ def _run_grid_chunk(
     path would have used, so block boundaries cannot perturb any random
     stream.  ``fn`` must return one result per row.
     """
-    cache = shared_cache()
-    before = cache.stats()
+    before = shared_cache().stats()
     if base_seed is None:
         results = list(fn(block))
     else:
@@ -124,9 +130,7 @@ def _run_grid_chunk(
             f"grid task returned {len(results)} results for a "
             f"{len(block)}-row block"
         )
-    after = cache.stats()
-    delta = {key: after[key] - before[key] for key in ("hits", "misses", "evictions")}
-    return results, delta
+    return results, _cache_delta(before)
 
 
 @dataclass
@@ -147,6 +151,11 @@ class SweepStats:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
+
+    def add_cache(self, delta: dict[str, int]) -> None:
+        self.cache_hits += delta["hits"]
+        self.cache_misses += delta["misses"]
+        self.cache_evictions += delta["evictions"]
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -208,28 +217,7 @@ class ParallelSweep:
     def run(self, grid: Sequence[Any]) -> list:
         """Evaluate ``fn`` over ``grid``; results in grid order."""
         grid = list(grid)
-        stats = SweepStats(jobs=self.jobs, tasks=len(grid))
-        self.stats = stats
-        if not grid:
-            return []
-        t0 = perf_counter()
-        parent_before = shared_cache().stats()
-        chunks = list(chunk_grid(grid, self._resolved_chunk_size(len(grid))))
-        stats.chunks = len(chunks)
-
-        if self.jobs == 1 or len(chunks) == 1:
-            merged = self._run_serial(chunks)
-        else:
-            merged = self._run_pool(chunks, stats)
-        parent_after = shared_cache().stats()
-        stats.cache_hits += parent_after["hits"] - parent_before["hits"]
-        stats.cache_misses += parent_after["misses"] - parent_before["misses"]
-        stats.cache_evictions += (
-            parent_after["evictions"] - parent_before["evictions"]
-        )
-        stats.wall_s = perf_counter() - t0
-        self._record(stats)
-        return merged
+        return self._sweep(len(grid), partial(chunk_grid, grid), _run_chunk)
 
     def run_grid(self, grid: Any) -> list:
         """Evaluate a *block* task function over a columnar grid.
@@ -241,28 +229,37 @@ class ParallelSweep:
         called as ``fn(block)`` (or ``fn(block, seeds=[...])`` when
         ``base_seed`` is set) and must return one result per block row;
         results come back stitched in grid order.  Chunking, pooling,
-        seed derivation, and cache accounting all match :meth:`run`, so
-        the jobs∈{1,N} bit-identity contract carries over verbatim.
+        seed derivation, and cache accounting are :meth:`run`'s, so the
+        jobs∈{1,N} bit-identity contract carries over verbatim.
         """
-        stats = SweepStats(jobs=self.jobs, tasks=len(grid))
+        return self._sweep(len(grid), grid.blocks, _run_grid_chunk)
+
+    def _sweep(
+        self,
+        n_tasks: int,
+        make_chunks: Callable[[int], Iterable[tuple[int, Any]]],
+        runner: Callable[..., tuple[list, dict[str, int]]],
+    ) -> list:
+        """The one body behind :meth:`run` and :meth:`run_grid`.
+
+        Only chunk construction and the per-chunk ``runner`` differ
+        between the two; everything else (serial/pool choice, merge order,
+        stats, cache accounting) is shared.
+        """
+        stats = SweepStats(jobs=self.jobs, tasks=n_tasks)
         self.stats = stats
-        if not len(grid):
+        if not n_tasks:
             return []
         t0 = perf_counter()
         parent_before = shared_cache().stats()
-        chunks = list(grid.blocks(self._resolved_chunk_size(len(grid))))
+        chunks = list(make_chunks(self._resolved_chunk_size(n_tasks)))
         stats.chunks = len(chunks)
 
         if self.jobs == 1 or len(chunks) == 1:
-            merged = self._run_serial(chunks, runner=_run_grid_chunk)
+            merged = self._run_serial(chunks, runner)
         else:
-            merged = self._run_pool(chunks, stats, runner=_run_grid_chunk)
-        parent_after = shared_cache().stats()
-        stats.cache_hits += parent_after["hits"] - parent_before["hits"]
-        stats.cache_misses += parent_after["misses"] - parent_before["misses"]
-        stats.cache_evictions += (
-            parent_after["evictions"] - parent_before["evictions"]
-        )
+            merged = self._run_pool(chunks, stats, runner)
+        stats.add_cache(_cache_delta(parent_before))
         stats.wall_s = perf_counter() - t0
         self._record(stats)
         return merged
@@ -270,11 +267,11 @@ class ParallelSweep:
     def _run_serial(
         self,
         chunks: list[tuple[int, Any]],
-        runner: Callable[..., tuple[list, dict[str, int]]] = _run_chunk,
+        runner: Callable[..., tuple[list, dict[str, int]]],
     ) -> list:
         out: list = []
         for start, items in chunks:
-            # The inline chunk mutates the parent cache directly; run()
+            # The inline chunk mutates the parent cache directly; _sweep()
             # measures that as one delta around the whole sweep.
             results, _delta = runner(self.fn, self.base_seed, start, items)
             out.extend(results)
@@ -284,7 +281,7 @@ class ParallelSweep:
         self,
         chunks: list[tuple[int, Any]],
         stats: SweepStats,
-        runner: Callable[..., tuple[list, dict[str, int]]] = _run_chunk,
+        runner: Callable[..., tuple[list, dict[str, int]]],
     ) -> list:
         try:
             executor = ProcessPoolExecutor(max_workers=self.jobs)
@@ -292,7 +289,7 @@ class ParallelSweep:
             get_trace().warning(
                 "sweep_pool_unavailable", sweep=self.name, error=str(exc)
             )
-            return self._run_serial(chunks, runner=runner)
+            return self._run_serial(chunks, runner)
         worker_deltas: list[dict[str, int]] = []
         with executor:
             futures = [
@@ -307,9 +304,7 @@ class ParallelSweep:
                 out.extend(results)
                 worker_deltas.append(delta)
         for delta in worker_deltas:
-            stats.cache_hits += delta["hits"]
-            stats.cache_misses += delta["misses"]
-            stats.cache_evictions += delta["evictions"]
+            stats.add_cache(delta)
         stats.pool_used = True
         self._record_worker_cache(worker_deltas)
         return out
@@ -347,10 +342,7 @@ class ParallelSweep:
         if not registry.enabled:
             return
         labels = {"origin": "workers"}
-        totals = {
-            key: sum(delta[key] for delta in deltas)
-            for key in ("hits", "misses", "evictions")
-        }
+        totals = {key: sum(delta[key] for delta in deltas) for key in _CACHE_COUNTERS}
         for key, amount in totals.items():
             if amount:
                 registry.counter(

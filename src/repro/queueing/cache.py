@@ -9,14 +9,16 @@ into a dict lookup.
 
 Correctness contract:
 
-- keys are ``(rho, B)`` rounded to a configurable number of decimals
-  (``rho_decimals`` / ``target_decimals`` constructor parameters,
-  defaulting to :attr:`ErlangCache.RHO_DECIMALS` /
-  :attr:`ErlangCache.TARGET_DECIMALS`); two inputs share an entry only if
-  they agree to that tolerance, which is far below the step-function
-  granularity of ``min_servers`` everywhere except exactly at a step
-  boundary.  The active precision is part of :meth:`ErlangCache.stats`,
+- keys are ``(rho, B)`` rounded to :attr:`ErlangCache.RHO_DECIMALS` /
+  :attr:`ErlangCache.TARGET_DECIMALS` decimals; two inputs share an entry
+  only if they agree to that tolerance, which is far below the
+  step-function granularity of ``min_servers`` everywhere except exactly
+  at a step boundary.  The precision is part of :meth:`ErlangCache.stats`,
   so every run manifest records it under ``parallel.cache``;
+- every input is validated *before* the lookup, exactly as the uncached
+  solver validates it (same checks, same order, same message): an invalid
+  input that rounds onto a cached key — ``-1e-12`` onto the key of
+  ``0.0`` — still raises;
 - values are computed by the *uncached* solvers on first miss and returned
   verbatim afterwards — the cache can change timing, never numbers, for
   any inputs that are representable on the rounding grid (the property
@@ -55,9 +57,7 @@ __all__ = [
     "GRID_SCALAR_CUTOFF",
     "ErlangCache",
     "shared_cache",
-    "configure_shared_cache",
     "cached_min_servers",
-    "cached_min_servers_continuous",
     "cached_min_servers_grid",
     "cached_erlang_b",
     "record_cache_metrics",
@@ -77,7 +77,7 @@ class ErlangCache:
     :func:`shared_cache`.
     """
 
-    #: Default rounding tolerance of the cache key, in decimal places.
+    #: Rounding tolerance of the cache key, in decimal places.
     #: 1e-9 in offered load is ~1 request/year of drift at the paper's
     #: scales.
     RHO_DECIMALS = 9
@@ -85,30 +85,10 @@ class ErlangCache:
     #: classes (paper uses 1e-2..1e-4) unambiguously apart.
     TARGET_DECIMALS = 12
 
-    def __init__(
-        self,
-        maxsize: int = 65536,
-        *,
-        rho_decimals: int | None = None,
-        target_decimals: int | None = None,
-    ) -> None:
+    def __init__(self, maxsize: int = 65536) -> None:
         if maxsize < 1:
             raise ValueError(f"cache maxsize must be positive, got {maxsize}")
-        rho_decimals = self.RHO_DECIMALS if rho_decimals is None else rho_decimals
-        target_decimals = (
-            self.TARGET_DECIMALS if target_decimals is None else target_decimals
-        )
-        if rho_decimals < 0:
-            raise ValueError(
-                f"rho_decimals must be non-negative, got {rho_decimals}"
-            )
-        if target_decimals < 0:
-            raise ValueError(
-                f"target_decimals must be non-negative, got {target_decimals}"
-            )
         self.maxsize = maxsize
-        self.rho_decimals = rho_decimals
-        self.target_decimals = target_decimals
         self._store: OrderedDict[tuple, object] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -121,12 +101,12 @@ class ErlangCache:
         """The exact store key used for a lookup (exposed for the tests)."""
         if kind == "erlang_b":
             n, rho = args
-            return ("erlang_b", int(n), round(float(rho), self.rho_decimals))
+            return ("erlang_b", int(n), round(float(rho), self.RHO_DECIMALS))
         rho, target = args
         return (
             kind,
-            round(float(rho), self.rho_decimals),
-            round(float(target), self.target_decimals),
+            round(float(rho), self.RHO_DECIMALS),
+            round(float(target), self.TARGET_DECIMALS),
         )
 
     # -- core lookup ------------------------------------------------------------------
@@ -155,11 +135,17 @@ class ErlangCache:
 
     def min_servers(self, rho: float, blocking_target: float) -> int:
         """Memoized :func:`repro.queueing.erlang.min_servers`."""
+        rho, blocking_target = float(rho), float(blocking_target)
+        vectorized._validate_target(blocking_target)
+        vectorized._validate_load(rho)
         key = self.key_for("min_servers", rho, blocking_target)
         return self._lookup(key, lambda: erlang.min_servers(rho, blocking_target))
 
     def min_servers_continuous(self, rho: float, blocking_target: float) -> int:
         """Memoized :func:`repro.queueing.erlang.min_servers_continuous`."""
+        rho, blocking_target = float(rho), float(blocking_target)
+        vectorized._validate_target(blocking_target)
+        vectorized._validate_load(rho)
         key = self.key_for("min_servers_continuous", rho, blocking_target)
         return self._lookup(
             key, lambda: erlang.min_servers_continuous(rho, blocking_target)
@@ -167,6 +153,9 @@ class ErlangCache:
 
     def erlang_b(self, n: int, rho: float) -> float:
         """Memoized :func:`repro.queueing.erlang.erlang_b`."""
+        n, rho = int(n), float(rho)
+        vectorized._validate_servers(n)
+        vectorized._validate_load(rho)
         key = self.key_for("erlang_b", n, rho)
         return self._lookup(key, lambda: erlang.erlang_b(n, rho))
 
@@ -234,8 +223,8 @@ class ErlangCache:
                 "evictions": self.evictions,
                 "size": len(self._store),
                 "maxsize": self.maxsize,
-                "rho_decimals": self.rho_decimals,
-                "target_decimals": self.target_decimals,
+                "rho_decimals": self.RHO_DECIMALS,
+                "target_decimals": self.TARGET_DECIMALS,
             }
 
     def clear(self) -> None:
@@ -285,7 +274,6 @@ def _solve(rhos: list[float], tgts: list[float]) -> list[int]:
 
 
 _shared = ErlangCache()
-_shared_lock = threading.Lock()
 
 
 def shared_cache() -> ErlangCache:
@@ -299,36 +287,9 @@ def shared_cache() -> ErlangCache:
     return _shared
 
 
-def configure_shared_cache(
-    maxsize: int,
-    *,
-    rho_decimals: int | None = None,
-    target_decimals: int | None = None,
-) -> ErlangCache:
-    """Replace the shared cache with a fresh one bounded at ``maxsize``.
-
-    ``rho_decimals`` / ``target_decimals`` override the key-rounding
-    precision (default: class attributes); the active values are reported
-    by :meth:`ErlangCache.stats` and therefore land in run manifests.
-    """
-    global _shared
-    with _shared_lock:
-        _shared = ErlangCache(
-            maxsize=maxsize,
-            rho_decimals=rho_decimals,
-            target_decimals=target_decimals,
-        )
-        return _shared
-
-
 def cached_min_servers(rho: float, blocking_target: float) -> int:
     """Shared-cache front end for the paper's Fig. 4 inner loop."""
     return _shared.min_servers(rho, blocking_target)
-
-
-def cached_min_servers_continuous(rho: float, blocking_target: float) -> int:
-    """Shared-cache front end for the bisection inversion."""
-    return _shared.min_servers_continuous(rho, blocking_target)
 
 
 def cached_min_servers_grid(rho, blocking_target):

@@ -11,7 +11,9 @@ iterative recurrence (their Eq. 2)::
 
 The implementations live in :mod:`repro.queueing.vectorized`, which solves
 whole (rho, B) grids in one call.  This module keeps the historical scalar
-API as thin wrappers over the vectorized core's scalar fast path.
+API as thin wrappers over the vectorized core's scalar fast path; the
+scalar-only log-domain and continuous variants are the vectorized module's
+own functions, re-exported.
 
 Compatibility contract (see DESIGN.md): every function here accepts and
 returns plain Python scalars, executes the exact float64 operation sequence
@@ -23,11 +25,12 @@ identical to the batched entry points.
 from __future__ import annotations
 
 from . import vectorized as _vec
-from .vectorized import (  # noqa: F401  (re-exported for compatibility)
-    _MAX_SERVERS,
-    _record_inversion,
+from .vectorized import (
     _validate_load,
     _validate_target,
+    erlang_b_continuous,
+    erlang_b_log,
+    min_servers_continuous,
 )
 
 __all__ = [
@@ -35,7 +38,6 @@ __all__ = [
     "erlang_b",
     "erlang_b_log",
     "erlang_b_continuous",
-    "erlang_b_derivative_n",
     "erlang_c",
     "min_servers",
     "min_servers_continuous",
@@ -60,41 +62,6 @@ def erlang_b(n: int, rho: float) -> float:
     grids, pass arrays to :func:`repro.queueing.vectorized.erlang_b`.
     """
     return _vec.erlang_b(int(n), float(rho))
-
-
-def erlang_b_log(n: int, rho: float) -> float:
-    """Erlang B evaluated in the log domain.
-
-    Mathematically identical to :func:`erlang_b` but computed as
-    ``exp(log(rho^n/n!) - logsumexp_k log(rho^k/k!))``, which is robust for
-    enormous ``rho``/``n`` (millions of servers) where naive term-by-term
-    summation of ``rho^k/k!`` would overflow long before the recurrence
-    finishes.  Used for cross-validation and the very-large-scale planner.
-    """
-    return _vec.erlang_b_log(int(n), float(rho))
-
-
-def erlang_b_continuous(n: float, rho: float) -> float:
-    """Continuous extension of Erlang B to real ``n >= 0``.
-
-    ``E_n(rho) = g / Q`` where ``g = exp(n log rho - rho - gammaln(n+1))``
-    is the Poisson(rho) "pmf" at ``n`` and ``Q = gammaincc(n+1, rho)`` —
-    the survival function of a Gamma(n+1) variate at ``rho`` equals
-    ``P(Poisson(rho) <= n)``.
-    """
-    return _vec.erlang_b_continuous(float(n), float(rho))
-
-
-def erlang_b_derivative_n(n: float, rho: float, eps: float = 1e-6) -> float:
-    """Central-difference derivative of the continuous Erlang B in ``n``.
-
-    Negative everywhere (adding capacity reduces blocking); exposed for the
-    sensitivity analyses in the ablation benchmarks.
-    """
-    lo = max(0.0, n - eps)
-    return (erlang_b_continuous(n + eps, rho) - erlang_b_continuous(lo, rho)) / (
-        n + eps - lo
-    )
 
 
 def erlang_c(n: int, rho: float) -> float:
@@ -127,17 +94,6 @@ def min_servers(rho: float, blocking_target: float) -> int:
     metrics with ``method="recurrence"``.
     """
     return _vec.min_servers(float(rho), float(blocking_target))
-
-
-def min_servers_continuous(rho: float, blocking_target: float) -> int:
-    """Inversion via bisection on the continuous extension.
-
-    Produces the same integer answer as :func:`min_servers` but in
-    ``O(log n)`` Erlang evaluations; preferred when ``rho`` is huge.
-    Records ``erlang_inversion_*`` metrics with ``method="bisection"``
-    when observability is enabled.
-    """
-    return _vec.min_servers_continuous(float(rho), float(blocking_target))
 
 
 def max_load_for_blocking(n: int, blocking_target: float, tol: float = 1e-10) -> float:

@@ -1,74 +1,24 @@
-"""Closed-form performance metrics for M/M/n/n and M/M/n systems.
+"""Closed-form performance metrics for the M/M/n delay system.
 
 The paper's model treats each resource of the pooled data center as an
-``n``-server Erlang loss system.  This module packages the standard
-steady-state metrics of that system (and of the delay variant used in
-sanity checks) behind small result dataclasses so the experiment harness
-can print labelled rows rather than bare floats.
+``n``-server Erlang loss system.  The delay (Erlang C) variant packaged
+here backs the sanity checks on response time: the DES delay simulation
+is validated against it, and its waiting-time tail gives percentile SLAs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .erlang import erlang_b, erlang_c, offered_load
+from .erlang import erlang_c, offered_load
 
 __all__ = [
-    "LossSystemMetrics",
-    "mmnn_loss_metrics",
     "DelaySystemMetrics",
     "mmn_delay_metrics",
-    "min_servers_for_wait",
     "wait_tail_probability",
     "wait_percentile",
 ]
-
-
-@dataclass(frozen=True)
-class LossSystemMetrics:
-    """Steady-state metrics of an M/G/n/n Erlang loss system."""
-
-    servers: int
-    offered_load: float
-    blocking_probability: float
-    carried_load: float
-    utilization: float
-    throughput: float
-    loss_rate: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.blocking_probability <= 1.0:
-            raise ValueError("blocking probability must lie in [0, 1]")
-
-
-def mmnn_loss_metrics(
-    arrival_rate: float, service_rate: float, servers: int
-) -> LossSystemMetrics:
-    """All steady-state metrics of an ``M/G/n/n`` loss system.
-
-    - ``carried_load = rho * (1 - B)`` (mean number of busy servers);
-    - ``utilization = carried_load / n``;
-    - ``throughput = lambda * (1 - B)``;
-    - ``loss_rate = lambda * B``.
-
-    By insensitivity these hold for any service-time distribution with mean
-    ``1/service_rate``.
-    """
-    if servers < 0:
-        raise ValueError(f"servers must be non-negative, got {servers}")
-    rho = offered_load(arrival_rate, service_rate)
-    b = erlang_b(servers, rho)
-    carried = rho * (1.0 - b)
-    util = carried / servers if servers > 0 else 0.0
-    return LossSystemMetrics(
-        servers=servers,
-        offered_load=rho,
-        blocking_probability=b,
-        carried_load=carried,
-        utilization=util,
-        throughput=arrival_rate * (1.0 - b),
-        loss_rate=arrival_rate * b,
-    )
 
 
 @dataclass(frozen=True)
@@ -115,34 +65,6 @@ def mmn_delay_metrics(
     )
 
 
-def min_servers_for_wait(
-    arrival_rate: float, service_rate: float, max_mean_wait: float
-) -> int:
-    """Smallest ``n`` with M/M/n mean waiting time <= ``max_mean_wait``.
-
-    The delay-system dual of the Erlang-B inversion: sizes a *queueing*
-    tier (e.g. the Web front end, whose Fig. 9 metric is response time)
-    instead of a loss tier.  Starts at the stability floor ``n > rho`` and
-    scans upward; mean wait is strictly decreasing in ``n``, so the first
-    hit is minimal.
-    """
-    if arrival_rate <= 0.0 or service_rate <= 0.0:
-        raise ValueError("rates must be positive")
-    if max_mean_wait < 0.0:
-        raise ValueError(f"wait target must be >= 0, got {max_mean_wait}")
-    import math
-
-    rho = arrival_rate / service_rate
-    n = max(1, math.floor(rho) + 1)
-    while True:
-        metrics = mmn_delay_metrics(arrival_rate, service_rate, n)
-        if metrics.mean_wait <= max_mean_wait:
-            return n
-        n += 1
-        if n > 10_000_000:  # pragma: no cover - defensive
-            raise RuntimeError("min_servers_for_wait failed to converge")
-
-
 def wait_tail_probability(
     arrival_rate: float, service_rate: float, servers: int, t: float
 ) -> float:
@@ -156,8 +78,6 @@ def wait_tail_probability(
     if t < 0.0:
         raise ValueError(f"t must be non-negative, got {t}")
     metrics = mmn_delay_metrics(arrival_rate, service_rate, servers)
-    import math
-
     rate = servers * service_rate - arrival_rate
     return metrics.probability_of_wait * math.exp(-rate * t)
 
@@ -177,7 +97,5 @@ def wait_percentile(
     tail_target = 1.0 - quantile
     if c <= tail_target:
         return 0.0
-    import math
-
     rate = servers * service_rate - arrival_rate
     return math.log(c / tail_target) / rate

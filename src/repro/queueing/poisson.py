@@ -3,7 +3,7 @@
 The model's second assumption (Section III.B.1) is that each service's
 requests arrive as a Poisson process; the paper cites the classic result
 that user-initiated TCP sessions on a WAN are well modelled as Poisson.
-This module generates arrival-time vectors for homogeneous, piecewise and
+This module generates arrival-time vectors for homogeneous and
 time-varying (thinned) Poisson processes, and implements the superposition
 property the consolidated-scenario analysis relies on (the sum of the
 per-service Poisson streams is Poisson with rate ``lambda = sum lambda_i``).
@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "poisson_arrivals",
-    "piecewise_poisson_arrivals",
     "thinned_poisson_arrivals",
     "superpose",
     "MarkedArrivals",
@@ -46,38 +45,6 @@ def poisson_arrivals(
     times = rng.uniform(0.0, horizon, count)
     times.sort()
     return times
-
-
-def piecewise_poisson_arrivals(
-    breakpoints: Sequence[float],
-    rates: Sequence[float],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Arrivals of a piecewise-constant-rate Poisson process.
-
-    ``breakpoints`` has ``len(rates) + 1`` increasing entries; segment ``k``
-    spans ``[breakpoints[k], breakpoints[k+1])`` at rate ``rates[k]``.
-    Used by the diurnal workload traces behind the Fig. 2 motivation plot.
-    """
-    bp = np.asarray(breakpoints, dtype=float)
-    rt = np.asarray(rates, dtype=float)
-    if bp.ndim != 1 or bp.size != rt.size + 1:
-        raise ValueError("need len(breakpoints) == len(rates) + 1")
-    if (np.diff(bp) <= 0).any():
-        raise ValueError("breakpoints must be strictly increasing")
-    if (rt < 0).any():
-        raise ValueError("rates must be non-negative")
-    segments = []
-    for k in range(rt.size):
-        if rt[k] == 0.0:
-            continue
-        seg = poisson_arrivals(rt[k], bp[k + 1] - bp[k], rng) + bp[k]
-        segments.append(seg)
-    if not segments:
-        return np.empty(0)
-    out = np.concatenate(segments)
-    out.sort()
-    return out
 
 
 def thinned_poisson_arrivals(

@@ -1,11 +1,12 @@
 """Batched (numpy-vectorized) Erlang-B core: whole grids in one call.
 
 This module is the canonical implementation of the Erlang loss formula and
-its inversions for the whole package.  Every function accepts either plain
-Python scalars — in which case it runs the exact same float64 operation
-sequence the historical scalar code ran and returns a Python scalar — or
-numpy arrays (any broadcastable shapes, including 0-d), in which case the
-computation is vectorized over the full broadcast grid:
+its inversions for the whole package.  :func:`erlang_b` and
+:func:`min_servers` accept either plain Python scalars — in which case they
+run the exact same float64 operation sequence the historical scalar code
+ran and return a Python scalar — or numpy arrays (any broadcastable shapes,
+including 0-d), in which case the computation is vectorized over the full
+broadcast grid:
 
 - :func:`erlang_b` — the paper's Eq. (2) recurrence, run in *lockstep*
   over the whole grid: iteration ``k`` applies ``b = rho*b/(k + rho*b)``
@@ -17,24 +18,29 @@ computation is vectorized over the full broadcast grid:
   ``n`` once per step for every unsatisfied point at once.  Bit-identical
   to the scalar scan for the same reason, and the workhorse behind the
   million-point sweeps (see ``benchmarks``/``vectorized_grid``).
-- :func:`erlang_b_log` / :func:`erlang_b_continuous` — log-domain /
-  continuous extension via vectorized ``gammaincc``; the batched
-  ``erlang_b_log`` agrees with the scalar logsumexp form to ~1e-10
-  relative (they are the same identity, ``sum_k rho^k/k! = e^rho *
-  P(Poisson(rho) <= n)``, evaluated two ways).
-- :func:`min_servers_continuous` — batched geometric bracketing plus
-  bisection on the continuous extension, polished at the boundary with
-  exact recurrence evaluations so the integer answer always equals
+
+Three scalar-only variants sit beside them, for the ablation benchmark
+and the very-large-load range:
+
+- :func:`erlang_b_log` — log-domain (logsumexp) evaluation, finite for
+  millions of servers;
+- :func:`erlang_b_continuous` — the continuous extension to real ``n``
+  via ``gammaincc``;
+- :func:`min_servers_continuous` — geometric bracketing plus bisection on
+  the continuous extension, polished at the boundary with exact
+  recurrence evaluations so the integer answer always equals
   :func:`min_servers`'s.
 
 Validation is shared with the scalar wrappers in
-:mod:`repro.queueing.erlang`: non-finite or out-of-range inputs raise
-``ValueError`` with *identical* message text on both entry points; for
-arrays the message reports the first offending element in C order.
+:mod:`repro.queueing.erlang` and with :mod:`repro.queueing.cache`:
+non-finite or out-of-range inputs raise ``ValueError`` with *identical*
+message text on every entry point; for arrays the message reports the
+first offending element in C order.
 
 Shape contract: scalar inputs (Python or numpy scalars) return Python
-``float``/``int``; any ``ndarray`` input (including 0-d) returns an
-``ndarray`` of the broadcast shape.
+``float``/``int``; any ``ndarray`` input (including 0-d) to
+:func:`erlang_b`/:func:`min_servers` returns an ``ndarray`` of the
+broadcast shape.
 """
 
 from __future__ import annotations
@@ -93,6 +99,12 @@ def _validate_target(blocking_target: float) -> None:
         raise ValueError(
             f"blocking target must lie in (0, 1), got {blocking_target}"
         )
+
+
+def _validate_servers(n: float) -> None:
+    """Server counts are non-negative (integer or, for the extension, real)."""
+    if n < 0:
+        raise ValueError(f"number of servers must be non-negative, got {n}")
 
 
 def _first(arr: np.ndarray, mask: np.ndarray) -> float:
@@ -165,8 +177,7 @@ def _broadcast(*arrays: np.ndarray) -> tuple[tuple[int, ...], list[np.ndarray]]:
 
 
 def _erlang_b_scalar(n: int, rho: float) -> float:
-    if n < 0:
-        raise ValueError(f"number of servers must be non-negative, got {n}")
+    _validate_servers(n)
     _validate_load(rho)
     if rho == 0.0:
         return 1.0 if n == 0 else 0.0
@@ -174,31 +185,6 @@ def _erlang_b_scalar(n: int, rho: float) -> float:
     for k in range(1, n + 1):
         b = rho * b / (k + rho * b)
     return b
-
-
-def _erlang_b_log_scalar(n: int, rho: float) -> float:
-    if n < 0:
-        raise ValueError(f"number of servers must be non-negative, got {n}")
-    _validate_load(rho)
-    if rho == 0.0:
-        return 1.0 if n == 0 else 0.0
-    k = np.arange(n + 1)
-    log_terms = k * math.log(rho) - special.gammaln(k + 1)
-    return float(np.exp(log_terms[-1] - special.logsumexp(log_terms)))
-
-
-def _erlang_b_continuous_scalar(n: float, rho: float) -> float:
-    if n < 0:
-        raise ValueError(f"number of servers must be non-negative, got {n}")
-    _validate_load(rho)
-    if rho == 0.0:
-        return 1.0 if n == 0 else 0.0
-    log_g = n * math.log(rho) - rho - special.gammaln(n + 1.0)
-    # P(Poisson(rho) <= n) == gammaincc(n+1, rho)  (regularised upper gamma).
-    cdf = special.gammaincc(n + 1.0, rho)
-    if cdf <= 0.0:
-        return 1.0
-    return float(min(1.0, math.exp(log_g) / cdf))
 
 
 def _min_servers_scalar(rho: float, blocking_target: float) -> int:
@@ -221,42 +207,6 @@ def _min_servers_scalar(rho: float, blocking_target: float) -> int:
     if registry.enabled:
         _record_inversion(registry, "recurrence", n, perf_counter() - t0)
     return n
-
-
-def _min_servers_continuous_scalar(rho: float, blocking_target: float) -> int:
-    _validate_target(blocking_target)
-    _validate_load(rho)
-    if rho == 0.0:
-        return 0
-    registry = get_registry()
-    t0 = perf_counter() if registry.enabled else 0.0
-    evaluations = 0
-    # Bracket: blocking at n=0 is 1; grow hi geometrically until below target.
-    hi = max(1, int(rho))
-    while _erlang_b_continuous_scalar(hi, rho) > blocking_target:
-        evaluations += 1
-        hi *= 2
-        if hi > _MAX_SERVERS:  # pragma: no cover - defensive
-            raise RuntimeError("min_servers_continuous failed to bracket")
-    lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        evaluations += 1
-        if _erlang_b_continuous_scalar(mid, rho) > blocking_target:
-            lo = mid
-        else:
-            hi = mid
-    # The continuous extension agrees with the discrete formula at integers,
-    # but guard against floating-point skew at the boundary.
-    while hi > 0 and _erlang_b_scalar(hi - 1, rho) <= blocking_target:
-        evaluations += 1
-        hi -= 1
-    while _erlang_b_scalar(hi, rho) > blocking_target:
-        evaluations += 1
-        hi += 1
-    if registry.enabled:
-        _record_inversion(registry, "bisection", evaluations, perf_counter() - t0)
-    return hi
 
 
 def _record_inversion(registry, method: str, iterations: int, elapsed: float) -> None:
@@ -316,11 +266,6 @@ def _erlang_b_array(n: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _erlang_b_at(n: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Alias of the exact kernel, used by the bisection boundary polish."""
-    return _erlang_b_array(n, rho)
-
-
 def _min_servers_array(rho: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Exact lockstep Fig. 4 scan over aligned 1-D ``(rho, target)`` arrays.
 
@@ -377,104 +322,6 @@ def _min_servers_array(rho: np.ndarray, target: np.ndarray) -> np.ndarray:
             )
     if registry.enabled:
         _record_inversion(registry, "vectorized", iterations, perf_counter() - t0)
-    return out
-
-
-def _erlang_b_continuous_array(n: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Vectorized continuous extension; ``rho`` must be strictly positive."""
-    nf = n.astype(np.float64)
-    log_g = nf * np.log(rho) - rho - special.gammaln(nf + 1.0)
-    cdf = special.gammaincc(nf + 1.0, rho)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio = np.exp(log_g) / cdf
-    return np.where(cdf <= 0.0, 1.0, np.minimum(1.0, ratio))
-
-
-def _min_servers_continuous_array(
-    rho: np.ndarray, target: np.ndarray
-) -> np.ndarray:
-    """Batched bracket + bisection on the continuous extension.
-
-    The boundary polish evaluates the *exact* recurrence (lockstep), so
-    the returned integers always equal :func:`min_servers`'s.
-    """
-    registry = get_registry()
-    t0 = perf_counter() if registry.enabled else 0.0
-    out = np.zeros(rho.shape, dtype=np.int64)
-    act = np.flatnonzero(rho > 0.0)
-    if not act.size:
-        return out
-    rho_a = rho[act]
-    tgt_a = target[act]
-    evaluations = 0
-    hi = np.maximum(1, rho_a.astype(np.int64))
-    while True:
-        above = _erlang_b_continuous_array(hi, rho_a) > tgt_a
-        if not above.any():
-            break
-        evaluations += int(above.sum())
-        hi[above] *= 2
-        if (hi > _MAX_SERVERS).any():  # pragma: no cover - defensive
-            raise RuntimeError("min_servers_continuous failed to bracket")
-    lo = np.zeros_like(hi)
-    while True:
-        open_ = hi - lo > 1
-        if not open_.any():
-            break
-        evaluations += int(open_.sum())
-        mid = (lo + hi) // 2
-        gt = _erlang_b_continuous_array(mid, rho_a) > tgt_a
-        lo = np.where(open_ & gt, mid, lo)
-        hi = np.where(open_ & ~gt, mid, hi)
-    # Boundary polish against the exact recurrence, exactly as the scalar
-    # inversion does — restricted to the (rare) elements still moving.
-    moving = np.arange(hi.size)
-    while moving.size:
-        can = hi[moving] > 0
-        idx = moving[can]
-        if not idx.size:
-            break
-        lower = _erlang_b_at(hi[idx] - 1, rho_a[idx]) <= tgt_a[idx]
-        evaluations += idx.size
-        if not lower.any():
-            break
-        hi[idx[lower]] -= 1
-        moving = idx[lower]
-    moving = np.arange(hi.size)
-    while moving.size:
-        above = _erlang_b_at(hi[moving], rho_a[moving]) > tgt_a[moving]
-        evaluations += moving.size
-        if not above.any():
-            break
-        hi[moving[above]] += 1
-        moving = moving[above]
-    out[act] = hi
-    if registry.enabled:
-        _record_inversion(registry, "vectorized", evaluations, perf_counter() - t0)
-    return out
-
-
-def _erlang_b_log_array(n: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Vectorized log-domain Erlang B (gamma-function form).
-
-    Same identity as the scalar logsumexp form — ``sum_{k<=n} rho^k/k! =
-    e^rho * P(Poisson(rho) <= n)`` — so the two agree to ~1e-10 relative;
-    robust for millions of servers where term-by-term sums overflow.
-    """
-    out = np.empty(rho.shape, dtype=np.float64)
-    zero = rho == 0.0
-    if zero.any():
-        out[zero] = np.where(n[zero] == 0, 1.0, 0.0)
-    act = ~zero
-    if act.any():
-        nf = n[act].astype(np.float64)
-        rho_a = rho[act]
-        log_g = nf * np.log(rho_a) - rho_a - special.gammaln(nf + 1.0)
-        cdf = special.gammaincc(nf + 1.0, rho_a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_cdf = np.log(cdf)
-            vals = np.exp(log_g - log_cdf)
-        out[act] = np.where(cdf <= 0.0, 1.0, np.minimum(1.0, vals))
     return out
 
 
@@ -546,50 +393,6 @@ def erlang_b(n, rho):
     return _erlang_b_array(n_f.astype(np.int64), rho_f).reshape(shape)
 
 
-def erlang_b_log(n, rho):
-    """Log-domain Erlang B over a broadcast grid; finite for huge ``rho``.
-
-    Scalar inputs reproduce the historical logsumexp evaluation exactly;
-    array inputs use the vectorized gamma-function form of the same
-    identity (agreement ~1e-10 relative).
-    """
-    if _is_scalar(n) and _is_scalar(rho):
-        return _erlang_b_log_scalar(int(n), float(rho))
-    n_arr = _validate_servers_array(np.asarray(n))
-    rho_arr = np.asarray(rho, dtype=np.float64)
-    _validate_load_array(rho_arr)
-    shape, (n_f, rho_f) = _broadcast(n_arr, rho_arr)
-    return _erlang_b_log_array(n_f.astype(np.int64), rho_f).reshape(shape)
-
-
-def erlang_b_continuous(n, rho):
-    """Continuous extension of Erlang B to real ``n >= 0``, broadcasting."""
-    if _is_scalar(n) and _is_scalar(rho):
-        return _erlang_b_continuous_scalar(float(n), float(rho))
-    n_arr = np.asarray(n, dtype=np.float64)
-    bad = ~np.isfinite(n_arr)
-    if bad.any():
-        raise ValueError(
-            f"number of servers must be finite, got {_first(n_arr, bad)}"
-        )
-    neg = n_arr < 0.0
-    if neg.any():
-        raise ValueError(
-            f"number of servers must be non-negative, got {_first(n_arr, neg)}"
-        )
-    rho_arr = np.asarray(rho, dtype=np.float64)
-    _validate_load_array(rho_arr)
-    shape, (n_f, rho_f) = _broadcast(n_arr, rho_arr)
-    out = np.empty(n_f.shape, dtype=np.float64)
-    zero = rho_f == 0.0
-    if zero.any():
-        out[zero] = np.where(n_f[zero] == 0.0, 1.0, 0.0)
-    act = ~zero
-    if act.any():
-        out[act] = _erlang_b_continuous_array(n_f[act], rho_f[act])
-    return out.reshape(shape)
-
-
 def min_servers(rho, blocking_target):
     """Smallest ``n`` with ``E_n(rho) <= blocking_target``, broadcasting.
 
@@ -609,18 +412,90 @@ def min_servers(rho, blocking_target):
     return _min_servers_array(rho_f, tgt_f).reshape(shape)
 
 
-def min_servers_continuous(rho, blocking_target):
-    """Inversion via batched bisection on the continuous extension.
+# ---------------------------------------------------------------------------
+# scalar-only variants (log domain, continuous extension, bisection)
+# ---------------------------------------------------------------------------
 
-    Same integer answers as :func:`min_servers` (the boundary is polished
-    with exact recurrence evaluations) in ``O(log n)`` gamma evaluations
-    per point; preferred when ``rho`` spans the mega-datacenter range.
+
+def erlang_b_log(n: int, rho: float) -> float:
+    """Erlang B evaluated in the log domain (scalar).
+
+    Mathematically identical to :func:`erlang_b` but computed as
+    ``exp(log(rho^n/n!) - logsumexp_k log(rho^k/k!))``, which is robust for
+    enormous ``rho``/``n`` (millions of servers) where naive term-by-term
+    summation of ``rho^k/k!`` would overflow long before the recurrence
+    finishes.
     """
-    if _is_scalar(rho) and _is_scalar(blocking_target):
-        return _min_servers_continuous_scalar(float(rho), float(blocking_target))
-    rho_arr = np.asarray(rho, dtype=np.float64)
-    tgt_arr = np.asarray(blocking_target, dtype=np.float64)
-    _validate_target_array(tgt_arr)
-    _validate_load_array(rho_arr)
-    shape, (rho_f, tgt_f) = _broadcast(rho_arr, tgt_arr)
-    return _min_servers_continuous_array(rho_f, tgt_f).reshape(shape)
+    n, rho = int(n), float(rho)
+    _validate_servers(n)
+    _validate_load(rho)
+    if rho == 0.0:
+        return 1.0 if n == 0 else 0.0
+    k = np.arange(n + 1)
+    log_terms = k * math.log(rho) - special.gammaln(k + 1)
+    return float(np.exp(log_terms[-1] - special.logsumexp(log_terms)))
+
+
+def erlang_b_continuous(n: float, rho: float) -> float:
+    """Continuous extension of Erlang B to real ``n >= 0`` (scalar).
+
+    ``E_n(rho) = g / Q`` where ``g = exp(n log rho - rho - gammaln(n+1))``
+    is the Poisson(rho) "pmf" at ``n`` and ``Q = gammaincc(n+1, rho)`` —
+    the survival function of a Gamma(n+1) variate at ``rho`` equals
+    ``P(Poisson(rho) <= n)``.
+    """
+    n, rho = float(n), float(rho)
+    _validate_servers(n)
+    _validate_load(rho)
+    if rho == 0.0:
+        return 1.0 if n == 0 else 0.0
+    log_g = n * math.log(rho) - rho - special.gammaln(n + 1.0)
+    cdf = special.gammaincc(n + 1.0, rho)
+    if cdf <= 0.0:
+        return 1.0
+    return float(min(1.0, math.exp(log_g) / cdf))
+
+
+def min_servers_continuous(rho: float, blocking_target: float) -> int:
+    """Smallest ``n`` with ``E_n(rho) <= blocking_target``, by bisection (scalar).
+
+    Same integer answer as :func:`min_servers` (the boundary is polished
+    with exact recurrence evaluations) in ``O(log n)`` evaluations of the
+    continuous extension; preferred when ``rho`` is huge.  Records
+    ``erlang_inversion_*`` metrics with ``method="bisection"`` when
+    observability is enabled.
+    """
+    rho, blocking_target = float(rho), float(blocking_target)
+    _validate_target(blocking_target)
+    _validate_load(rho)
+    if rho == 0.0:
+        return 0
+    registry = get_registry()
+    t0 = perf_counter() if registry.enabled else 0.0
+    evaluations = 0
+    # Bracket: blocking at n=0 is 1; grow hi geometrically until below target.
+    hi = max(1, int(rho))
+    while erlang_b_continuous(hi, rho) > blocking_target:
+        evaluations += 1
+        hi *= 2
+        if hi > _MAX_SERVERS:  # pragma: no cover - defensive
+            raise RuntimeError("min_servers_continuous failed to bracket")
+    lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        evaluations += 1
+        if erlang_b_continuous(mid, rho) > blocking_target:
+            lo = mid
+        else:
+            hi = mid
+    # The continuous extension agrees with the discrete formula at integers,
+    # but guard against floating-point skew at the boundary.
+    while hi > 0 and _erlang_b_scalar(hi - 1, rho) <= blocking_target:
+        evaluations += 1
+        hi -= 1
+    while _erlang_b_scalar(hi, rho) > blocking_target:
+        evaluations += 1
+        hi += 1
+    if registry.enabled:
+        _record_inversion(registry, "bisection", evaluations, perf_counter() - t0)
+    return hi

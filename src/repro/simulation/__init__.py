@@ -11,7 +11,6 @@
   Rainbow flow controllers against the analytic ideal.
 """
 
-from .closed_loop import ClosedLoopResult, simulate_closed_loop
 from .datacenter import CaseStudyResult, DataCenterSimulation, ScenarioResult
 from .delay_sim import DelaySystemResult, response_time_curve, simulate_delay_system
 from .engine import ScheduledEvent, Simulator
@@ -24,7 +23,6 @@ from .loss_network import (
     simulate_loss_system,
 )
 from .metrics import LossCounter, RunningStats, TimeWeightedStat
-from .tandem import TandemResult, TierResult, TierSpec, simulate_tandem
 
 __all__ = [
     "Simulator",
@@ -46,10 +44,4 @@ __all__ = [
     "DelaySystemResult",
     "simulate_delay_system",
     "response_time_curve",
-    "TierSpec",
-    "TierResult",
-    "TandemResult",
-    "simulate_tandem",
-    "ClosedLoopResult",
-    "simulate_closed_loop",
 ]

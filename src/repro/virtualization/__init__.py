@@ -42,7 +42,6 @@ from .placement import (
     best_fit_decreasing,
     first_fit_decreasing,
     migration_plan,
-    plan_migration_sequence,
 )
 from .vm import VcpuPlacement, VirtualMachine
 
@@ -74,5 +73,4 @@ __all__ = [
     "first_fit_decreasing",
     "best_fit_decreasing",
     "migration_plan",
-    "plan_migration_sequence",
 ]

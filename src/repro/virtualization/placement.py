@@ -231,93 +231,3 @@ def migration_plan(
             moves.append(Migration(vm=name, source=src, target=dst))
     return moves
 
-
-def plan_migration_sequence(
-    current: PlacementPlan,
-    target: PlacementPlan,
-    demands: Mapping[str, "VmDemand"],
-    hosts: int | None = None,
-) -> list[Migration]:
-    """Order the migrations so no host overflows *during* the transition.
-
-    The hard part of reconfiguration (and what Entropy's solver handles):
-    a move is only executable when its destination currently has room, so
-    moves must be sequenced — and cyclic exchanges deadlock unless broken
-    through a host with spare room.  Greedy strategy: repeatedly execute
-    any feasible move; on deadlock, bounce one blocked VM to any host with
-    room (adding one extra migration), which breaks the cycle.
-
-    Returns the executable sequence (including bounce moves).  Raises if
-    the transition is infeasible even with bouncing (no host ever has room).
-    """
-    pending = migration_plan(current, target)
-    if not pending:
-        return []
-    unknown = {m.vm for m in pending} - set(demands)
-    if unknown:
-        raise ValueError(f"missing demand vectors for: {sorted(unknown)}")
-    host_count = hosts if hosts is not None else max(
-        current.hosts_used, target.hosts_used
-    )
-
-    # Mutable view of current loads.
-    loads: list[dict[ResourceKind, float]] = [
-        dict(current.host_loads[i]) if i < current.hosts_used else {}
-        for i in range(host_count)
-    ]
-    location = dict(current.assignments)
-
-    def fits_on(host: int, vm: VmDemand) -> bool:
-        return _fits(loads[host], vm)
-
-    def apply(vm_name: str, dst: int) -> None:
-        vm = demands[vm_name]
-        src = location[vm_name]
-        for kind, d in vm.demands.items():
-            loads[src][kind] = loads[src].get(kind, 0.0) - d
-        for kind, d in vm.demands.items():
-            loads[dst][kind] = loads[dst].get(kind, 0.0) + d
-        location[vm_name] = dst
-
-    sequence: list[Migration] = []
-    todo = {m.vm: m.target for m in pending}
-    safety = 0
-    while todo:
-        safety += 1
-        if safety > 10 * len(pending) + 100:  # pragma: no cover - defensive
-            raise RuntimeError("migration sequencing failed to converge")
-        progressed = False
-        for vm_name in list(todo):
-            dst = todo[vm_name]
-            if location[vm_name] == dst:
-                del todo[vm_name]
-                progressed = True
-                continue
-            if fits_on(dst, demands[vm_name]):
-                sequence.append(
-                    Migration(vm=vm_name, source=location[vm_name], target=dst)
-                )
-                apply(vm_name, dst)
-                del todo[vm_name]
-                progressed = True
-        if progressed:
-            continue
-        # Deadlock: bounce the first blocked VM to any host with room.
-        bounced = False
-        for vm_name in todo:
-            vm = demands[vm_name]
-            for host in range(host_count):
-                if host != location[vm_name] and host != todo[vm_name] and fits_on(host, vm):
-                    sequence.append(
-                        Migration(vm=vm_name, source=location[vm_name], target=host)
-                    )
-                    apply(vm_name, host)
-                    bounced = True
-                    break
-            if bounced:
-                break
-        if not bounced:
-            raise ValueError(
-                "transition infeasible: no host has room to break the cycle"
-            )
-    return sequence

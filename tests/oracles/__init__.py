@@ -1,0 +1,13 @@
+"""Reference solvers that the tests use as independent oracles.
+
+Nothing in ``src/`` calls these; they exist so that kept code can be
+checked against a second derivation:
+
+- :mod:`oracles.birth_death` solves birth–death balance equations
+  numerically (Erlang-B and Engset cross-checks);
+- :mod:`oracles.mva` is exact Mean Value Analysis for closed networks
+  (the TPC-W throughput laws).
+
+Import them as ``from oracles.mva import exact_mva``: the suite's
+``tests/conftest.py`` puts ``tests/`` on ``sys.path``.
+"""

@@ -12,7 +12,6 @@ from repro.queueing import erlang, vectorized
 from repro.queueing.cache import (
     GRID_SCALAR_CUTOFF,
     ErlangCache,
-    configure_shared_cache,
     record_cache_metrics,
     shared_cache,
 )
@@ -104,23 +103,6 @@ class TestKeyTolerance:
         assert cache.erlang_b(10, 8.0) != cache.erlang_b(12, 8.0)
         assert cache.stats()["misses"] == 2
 
-    def test_precision_is_constructor_configurable(self):
-        coarse = ErlangCache(rho_decimals=3, target_decimals=4)
-        assert coarse.key_for("min_servers", 1.23456, 0.012345) == (
-            "min_servers", 1.235, 0.0123,
-        )
-        stats = coarse.stats()
-        assert stats["rho_decimals"] == 3
-        assert stats["target_decimals"] == 4
-        # Defaults still come from the class attributes.
-        default = ErlangCache()
-        assert default.rho_decimals == ErlangCache.RHO_DECIMALS
-        assert default.target_decimals == ErlangCache.TARGET_DECIMALS
-        with pytest.raises(ValueError, match="rho_decimals"):
-            ErlangCache(rho_decimals=-1)
-        with pytest.raises(ValueError, match="target_decimals"):
-            ErlangCache(target_decimals=-2)
-
     @given(rho=st.floats(min_value=0.001, max_value=500.0,
                          allow_nan=False, allow_infinity=False),
            target=st.floats(min_value=0.0001, max_value=0.5,
@@ -135,8 +117,8 @@ class TestKeyTolerance:
         cache = ErlangCache()
         # Prime with the rounded key point so the off-grid query below
         # exercises the collision path (a shared entry), not a fresh miss.
-        rho_key = round(rho, cache.rho_decimals)
-        target_key = round(target, cache.target_decimals)
+        rho_key = round(rho, ErlangCache.RHO_DECIMALS)
+        target_key = round(target, ErlangCache.TARGET_DECIMALS)
         cache.min_servers(rho_key, target_key)
         cached = cache.min_servers(rho, target)
         uncached = erlang.min_servers(rho, target)
@@ -178,35 +160,22 @@ class TestEviction:
 
 
 class TestSharedCacheAndMetrics:
-    def test_configure_replaces_shared_instance(self):
-        original = shared_cache()
-        try:
-            replaced = configure_shared_cache(maxsize=16)
-            assert shared_cache() is replaced
-            assert replaced.maxsize == 16
-        finally:
-            configure_shared_cache(maxsize=original.maxsize)
-
     def test_record_cache_metrics_scopes_to_baseline(self):
-        original = shared_cache()
-        try:
-            cache = configure_shared_cache(maxsize=64)
-            cache.min_servers(5.0, 0.01)
-            baseline = cache.stats()
-            cache.min_servers(5.0, 0.01)  # 1 hit after baseline
-            cache.min_servers(6.0, 0.01)  # 1 miss after baseline
-            registry = MetricsRegistry("test")
-            record_cache_metrics(registry, baseline)
-            snap = registry.snapshot()
-            assert snap["erlang_cache_hits_total"]["series"] == [
-                {"labels": {"origin": "parent"}, "value": 1.0}
-            ]
-            assert snap["erlang_cache_misses_total"]["series"] == [
-                {"labels": {"origin": "parent"}, "value": 1.0}
-            ]
-            assert snap["erlang_cache_size"]["series"][0]["value"] == 2.0
-        finally:
-            configure_shared_cache(maxsize=original.maxsize)
+        cache = shared_cache()  # cleared before every test by conftest
+        cache.min_servers(5.0, 0.01)
+        baseline = cache.stats()
+        cache.min_servers(5.0, 0.01)  # 1 hit after baseline
+        cache.min_servers(6.0, 0.01)  # 1 miss after baseline
+        registry = MetricsRegistry("test")
+        record_cache_metrics(registry, baseline)
+        snap = registry.snapshot()
+        assert snap["erlang_cache_hits_total"]["series"] == [
+            {"labels": {"origin": "parent"}, "value": 1.0}
+        ]
+        assert snap["erlang_cache_misses_total"]["series"] == [
+            {"labels": {"origin": "parent"}, "value": 1.0}
+        ]
+        assert snap["erlang_cache_size"]["series"][0]["value"] == 2.0
 
     def test_record_cache_metrics_noop_when_disabled(self):
         class Disabled:
@@ -225,8 +194,28 @@ class TestSharedCacheAndMetrics:
         }
 
     def test_nan_load_rejected_through_cache(self):
-        # Validation bugs must not hide behind memoization.
+        # Validation bugs must not hide behind memoization, not even when
+        # the bad input rounds onto a cached key: -1e-12 onto the key of
+        # 0.0, a zero target onto the key of 1e-13.  Each case primes the
+        # cache with a valid input, then expects the uncached solver's
+        # error text.
         cache = ErlangCache()
+        cases = [
+            (cache.min_servers, erlang.min_servers, (5.0, 0.01), (math.nan, 0.01)),
+            (cache.min_servers, erlang.min_servers, (0.0, 0.01), (-1e-12, 0.01)),
+            (cache.min_servers, erlang.min_servers, (1.0, 1e-13), (1.0, 0.0)),
+            (cache.min_servers_continuous, erlang.min_servers_continuous,
+             (0.0, 0.01), (-1e-12, 0.01)),
+            (cache.erlang_b, erlang.erlang_b, (3, 0.0), (3, -1e-12)),
+            (cache.erlang_b, erlang.erlang_b, (3, 0.0), (-1, -1e-12)),
+        ]
+        for cached, uncached, valid, bad in cases:
+            cached(*valid)
+            with pytest.raises(ValueError) as want:
+                uncached(*bad)
+            with pytest.raises(ValueError) as got:
+                cached(*bad)
+            assert str(got.value) == str(want.value)
         with pytest.raises(ValueError, match="finite"):
             cache.min_servers(math.nan, 0.01)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.queueing.birth_death import BirthDeathChain, loss_system_chain
+from oracles.birth_death import BirthDeathChain, loss_system_chain
 from repro.queueing.erlang import erlang_b
 
 

@@ -113,7 +113,7 @@ class TestMinServers:
 class TestAgainstClosedLoopSimulation:
     def test_engset_time_congestion_matches_birth_death(self):
         # Independent route: finite-source birth-death chain.
-        from repro.queueing.birth_death import BirthDeathChain
+        from oracles.birth_death import BirthDeathChain
 
         servers, sources, alpha, mu = 3, 8, 0.2, 1.0
         births = [(sources - k) * alpha for k in range(servers)]

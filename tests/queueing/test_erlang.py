@@ -7,7 +7,6 @@ import pytest
 from repro.queueing.erlang import (
     erlang_b,
     erlang_b_continuous,
-    erlang_b_derivative_n,
     erlang_b_log,
     erlang_c,
     max_load_for_blocking,
@@ -105,9 +104,6 @@ class TestErlangBVariants:
     def test_continuous_zero_load(self):
         assert erlang_b_continuous(0.0, 0.0) == 1.0
         assert erlang_b_continuous(2.5, 0.0) == 0.0
-
-    def test_derivative_is_negative(self):
-        assert erlang_b_derivative_n(5.0, 4.0) < 0.0
 
 
 class TestErlangC:

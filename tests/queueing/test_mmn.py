@@ -1,48 +1,9 @@
-"""Unit tests for the packaged M/G/n/n and M/M/n metrics."""
-
-import math
+"""Unit tests for the packaged M/M/n delay metrics."""
 
 import pytest
 
-from repro.queueing.erlang import erlang_b, erlang_c
-from repro.queueing.mmn import (
-    min_servers_for_wait,
-    mmn_delay_metrics,
-    mmnn_loss_metrics,
-)
-
-
-class TestLossMetrics:
-    def test_consistency_relations(self):
-        m = mmnn_loss_metrics(arrival_rate=30.0, service_rate=10.0, servers=5)
-        b = erlang_b(5, 3.0)
-        assert m.blocking_probability == pytest.approx(b)
-        assert m.carried_load == pytest.approx(3.0 * (1.0 - b))
-        assert m.utilization == pytest.approx(m.carried_load / 5)
-        assert m.throughput == pytest.approx(30.0 * (1.0 - b))
-        assert m.loss_rate == pytest.approx(30.0 * b)
-        assert m.throughput + m.loss_rate == pytest.approx(30.0)
-
-    def test_utilization_bounded(self):
-        for servers in (1, 2, 8):
-            m = mmnn_loss_metrics(100.0, 10.0, servers)
-            assert 0.0 <= m.utilization <= 1.0
-
-    def test_zero_servers(self):
-        m = mmnn_loss_metrics(10.0, 1.0, 0)
-        assert m.blocking_probability == 1.0
-        assert m.throughput == 0.0
-        assert m.utilization == 0.0
-
-    def test_infinite_service_rate(self):
-        m = mmnn_loss_metrics(10.0, math.inf, 3)
-        assert m.offered_load == 0.0
-        assert m.blocking_probability == 0.0
-        assert m.throughput == pytest.approx(10.0)
-
-    def test_rejects_negative_servers(self):
-        with pytest.raises(ValueError):
-            mmnn_loss_metrics(1.0, 1.0, -1)
+from repro.queueing.erlang import erlang_c
+from repro.queueing.mmn import mmn_delay_metrics
 
 
 class TestDelayMetrics:
@@ -76,36 +37,6 @@ class TestDelayMetrics:
         light = mmn_delay_metrics(1.0, 1.0, 4)
         heavy = mmn_delay_metrics(3.9, 1.0, 4)
         assert heavy.mean_wait > 50.0 * light.mean_wait
-
-
-class TestMinServersForWait:
-    def test_definition_holds(self):
-        lam, mu, target = 8.0, 3.0, 0.05
-        n = min_servers_for_wait(lam, mu, target)
-        assert mmn_delay_metrics(lam, mu, n).mean_wait <= target
-        if n > lam / mu + 1:
-            assert mmn_delay_metrics(lam, mu, n - 1).mean_wait > target
-
-    def test_zero_wait_target_reachable(self):
-        # Mean wait is never exactly zero for finite n, but becomes tiny;
-        # a strictly positive target always terminates.
-        n = min_servers_for_wait(2.0, 1.0, 1e-6)
-        assert mmn_delay_metrics(2.0, 1.0, n).mean_wait <= 1e-6
-
-    def test_tighter_target_more_servers(self):
-        loose = min_servers_for_wait(8.0, 3.0, 1.0)
-        tight = min_servers_for_wait(8.0, 3.0, 0.001)
-        assert tight >= loose
-
-    def test_starts_above_stability_floor(self):
-        # rho = 4.0: at least 5 servers regardless of a lax target.
-        assert min_servers_for_wait(4.0, 1.0, 1e6) == 5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            min_servers_for_wait(0.0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            min_servers_for_wait(1.0, 1.0, -0.1)
 
 
 class TestWaitDistribution:

@@ -1,10 +1,8 @@
-"""Unit + validation tests for exact MVA and the closed-loop simulation."""
+"""Unit + validation tests for the exact-MVA oracle."""
 
-import numpy as np
 import pytest
 
-from repro.queueing.mva import exact_mva, throughput_bounds
-from repro.simulation.closed_loop import simulate_closed_loop
+from oracles.mva import exact_mva, throughput_bounds
 
 
 class TestExactMva:
@@ -81,42 +79,3 @@ class TestExactMva:
         with pytest.raises(ValueError):
             throughput_bounds({}, 1.0, 1)
 
-
-class TestClosedLoopSimulation:
-    def test_matches_mva_moderate_population(self, rng):
-        demands = {"web": 0.05, "db": 0.2}
-        mva = exact_mva(demands, think_time=2.0, population=8)
-        sim = simulate_closed_loop(8, 2.0, demands, 4000.0, rng)
-        assert sim.throughput == pytest.approx(mva.throughput, rel=0.08)
-
-    def test_matches_mva_saturated(self, rng):
-        demands = {"db": 0.25}
-        mva = exact_mva(demands, think_time=1.0, population=20)
-        sim = simulate_closed_loop(20, 1.0, demands, 3000.0, rng)
-        assert sim.throughput == pytest.approx(mva.throughput, rel=0.08)
-        assert sim.per_station_utilization["db"] > 0.9
-
-    def test_utilization_law_holds(self, rng):
-        demands = {"db": 0.2}
-        sim = simulate_closed_loop(5, 3.0, demands, 4000.0, rng)
-        assert sim.per_station_utilization["db"] == pytest.approx(
-            sim.throughput * 0.2, rel=0.1
-        )
-
-    def test_cycle_time_interactive_law(self, rng):
-        # X = N / (Z + R)  =>  R_measured ~ N/X - Z.
-        demands = {"db": 0.2}
-        sim = simulate_closed_loop(6, 3.0, demands, 4000.0, rng)
-        r_from_law = 6 / sim.throughput - 3.0
-        # mean_cycle_time includes think; subtract it.
-        assert sim.mean_cycle_time - 3.0 == pytest.approx(r_from_law, rel=0.15)
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            simulate_closed_loop(0, 1.0, {"a": 1.0}, 10.0, rng)
-        with pytest.raises(ValueError):
-            simulate_closed_loop(1, -1.0, {"a": 1.0}, 10.0, rng)
-        with pytest.raises(ValueError):
-            simulate_closed_loop(1, 1.0, {}, 10.0, rng)
-        with pytest.raises(ValueError):
-            simulate_closed_loop(1, 1.0, {"a": 1.0}, 0.0, rng)

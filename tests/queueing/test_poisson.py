@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.stats import exponential_ks_test, poisson_dispersion
 from repro.queueing.poisson import (
     interarrival_times,
-    piecewise_poisson_arrivals,
     poisson_arrivals,
     superpose,
     superpose_marked,
@@ -42,32 +41,6 @@ class TestHomogeneous:
             poisson_arrivals(-1.0, 10.0, rng)
         with pytest.raises(ValueError):
             poisson_arrivals(1.0, 0.0, rng)
-
-
-class TestPiecewise:
-    def test_rates_realised_per_segment(self, rng):
-        bp = [0.0, 100.0, 200.0]
-        t = piecewise_poisson_arrivals(bp, [5.0, 50.0], rng)
-        first = ((t >= 0.0) & (t < 100.0)).sum()
-        second = ((t >= 100.0) & (t < 200.0)).sum()
-        assert first == pytest.approx(500, rel=0.2)
-        assert second == pytest.approx(5000, rel=0.1)
-
-    def test_zero_rate_segment_is_empty(self, rng):
-        t = piecewise_poisson_arrivals([0.0, 10.0, 20.0], [0.0, 10.0], rng)
-        assert (t >= 10.0).all()
-
-    def test_output_sorted(self, rng):
-        t = piecewise_poisson_arrivals([0.0, 1.0, 2.0, 3.0], [9.0, 1.0, 9.0], rng)
-        assert (np.diff(t) >= 0).all()
-
-    def test_rejects_mismatched_lengths(self, rng):
-        with pytest.raises(ValueError):
-            piecewise_poisson_arrivals([0.0, 1.0], [1.0, 2.0], rng)
-
-    def test_rejects_unsorted_breakpoints(self, rng):
-        with pytest.raises(ValueError):
-            piecewise_poisson_arrivals([0.0, 2.0, 1.0], [1.0, 1.0], rng)
 
 
 class TestThinned:

@@ -3,8 +3,10 @@
 The vectorized module is the canonical implementation behind the scalar
 wrappers, so these tests pin the three legs of the compatibility
 contract: textbook values, scalar/array bit-identity on dense grids, and
-``ValueError`` text identical to the scalar entry points.  The scalar
-fuzz/property layer lives in ``test_vectorized_properties.py``.
+``ValueError`` text identical to the scalar entry points.  The scalar-only
+log-domain and continuous variants are checked against the batched exact
+kernels.  The scalar fuzz/property layer lives in
+``test_vectorized_properties.py``.
 """
 
 import math
@@ -12,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import special
 
 from repro.queueing import erlang
 from repro.queueing import vectorized as vec
@@ -74,10 +77,11 @@ class TestMinServersArrays:
         rng = np.random.default_rng(7)
         rho = rng.uniform(0.001, 5000.0, 800)
         target = rng.uniform(1e-5, 0.2, 800)
-        assert (
-            vec.min_servers_continuous(rho, target)
-            == vec.min_servers(rho, target)
-        ).all()
+        bisected = [
+            vec.min_servers_continuous(float(r), float(t))
+            for r, t in zip(rho, target)
+        ]
+        assert bisected == vec.min_servers(rho, target).tolist()
 
     def test_broadcast_plane(self):
         rho = np.linspace(1.0, 80.0, 40)[:, None]
@@ -112,24 +116,30 @@ class TestLogAndContinuousArrays:
         n = rng.integers(0, 300, 500)
         rho = rng.uniform(0.01, 150.0, 500)
         exact = vec.erlang_b(n, rho)
-        logd = vec.erlang_b_log(n, rho)
+        logd = np.array([vec.erlang_b_log(int(a), float(r)) for a, r in zip(n, rho)])
         mask = exact > 1e-280  # below that, denormal noise dominates
         assert logd[mask] == pytest.approx(exact[mask], rel=1e-8)
 
     def test_log_scalar_path_matches_historical_logsumexp(self):
+        assert erlang.erlang_b_log is vec.erlang_b_log  # one definition
         for n, rho, _ in TEXTBOOK:
-            assert vec.erlang_b_log(n, rho) == erlang.erlang_b_log(n, rho)
+            k = np.arange(n + 1)
+            log_terms = k * math.log(rho) - special.gammaln(k + 1)
+            historical = float(np.exp(log_terms[-1] - special.logsumexp(log_terms)))
+            assert vec.erlang_b_log(n, rho) == historical
 
     def test_continuous_matches_scalar_everywhere(self):
+        # Between integers the extension lies inside the bracket the exact
+        # recurrence gives at floor(n) and ceil(n) (it is decreasing in n).
+        assert erlang.erlang_b_continuous is vec.erlang_b_continuous
         rng = np.random.default_rng(13)
         n = rng.uniform(0.0, 200.0, 500)
         rho = rng.uniform(0.0, 150.0, 500)
-        batched = vec.erlang_b_continuous(n, rho)
-        scalar = [
-            erlang.erlang_b_continuous(float(a), float(r))
-            for a, r in zip(n, rho)
-        ]
-        assert batched == pytest.approx(scalar, rel=1e-12, abs=0.0)
+        upper = vec.erlang_b(np.floor(n).astype(np.int64), rho)
+        lower = vec.erlang_b(np.ceil(n).astype(np.int64), rho)
+        for a, r, lo, hi in zip(n, rho, lower, upper):
+            value = vec.erlang_b_continuous(float(a), float(r))
+            assert lo * (1 - 1e-9) <= value <= hi * (1 + 1e-9)
 
     def test_offered_load_broadcasts(self):
         lam = np.array([30.0, 100.0])

@@ -128,9 +128,9 @@ class TestMinServersAgreement:
     def test_continuous_inversion_agrees_with_scan(self, grid):
         rho = np.array([g[0] for g in grid])
         target = np.array([g[1] for g in grid])
-        batched = vec.min_servers_continuous(rho, target)
-        scalar = [
+        batched = vec.min_servers(rho, target)
+        bisected = [
             erlang.min_servers_continuous(float(r), float(t))
             for r, t in zip(rho, target)
         ]
-        assert batched.tolist() == scalar
+        assert batched.tolist() == bisected

@@ -130,95 +130,6 @@ class TestMigrationPlan:
             migration_plan(a, b)
 
 
-class TestMigrationSequencing:
-    def make_demands(self, sizes):
-        return {name: vm(name, s) for name, s in sizes.items()}
-
-    def _manual_plan(self, assignments, demands):
-        from repro.virtualization.placement import PlacementPlan
-
-        plan = PlacementPlan()
-        hosts = max(assignments.values()) + 1
-        plan.host_loads = [{} for _ in range(hosts)]
-        for name, host in assignments.items():
-            plan.assignments[name] = host
-            for kind, d in demands[name].demands.items():
-                plan.host_loads[host][kind] = (
-                    plan.host_loads[host].get(kind, 0.0) + d
-                )
-        return plan
-
-    def test_trivial_sequence(self):
-        from repro.virtualization.placement import plan_migration_sequence
-
-        demands = self.make_demands({"a": 0.4, "b": 0.4})
-        cur = self._manual_plan({"a": 0, "b": 1}, demands)
-        tgt = self._manual_plan({"a": 1, "b": 1}, demands)
-        seq = plan_migration_sequence(cur, tgt, demands)
-        assert [(m.vm, m.target) for m in seq] == [("a", 1)]
-
-    def test_cycle_broken_with_bounce(self):
-        from repro.virtualization.placement import plan_migration_sequence
-
-        # a and b must swap hosts, each 0.8: neither move fits first, but a
-        # third host with room lets the sequencer bounce one of them.
-        demands = self.make_demands({"a": 0.8, "b": 0.8})
-        cur = self._manual_plan({"a": 0, "b": 1}, demands)
-        tgt = self._manual_plan({"a": 1, "b": 0}, demands)
-        seq = plan_migration_sequence(cur, tgt, demands, hosts=3)
-        # Three moves: bounce, then the two direct moves.
-        assert len(seq) == 3
-        # Replay ends at the target.
-        loc = dict(cur.assignments)
-        for m in seq:
-            assert loc[m.vm] == m.source
-            loc[m.vm] = m.target
-        assert loc == tgt.assignments
-
-    def test_infeasible_cycle_raises(self):
-        from repro.virtualization.placement import plan_migration_sequence
-
-        demands = self.make_demands({"a": 0.8, "b": 0.8})
-        cur = self._manual_plan({"a": 0, "b": 1}, demands)
-        tgt = self._manual_plan({"a": 1, "b": 0}, demands)
-        with pytest.raises(ValueError):
-            plan_migration_sequence(cur, tgt, demands, hosts=2)
-
-    def test_no_overcommit_during_replay(self):
-        from repro.virtualization.placement import (
-            first_fit_decreasing,
-            plan_migration_sequence,
-        )
-
-        demands = {f"v{i}": vm(f"v{i}", 0.3 + 0.05 * (i % 4)) for i in range(10)}
-        vms = list(demands.values())
-        cur = first_fit_decreasing(vms)
-        tgt = first_fit_decreasing(list(reversed(vms)))
-        hosts = max(cur.hosts_used, tgt.hosts_used) + 1
-        seq = plan_migration_sequence(cur, tgt, demands, hosts=hosts)
-        # Replay, asserting capacity at every step.
-        loads = [dict(cur.host_loads[i]) if i < cur.hosts_used else {}
-                 for i in range(hosts)]
-        loc = dict(cur.assignments)
-        for m in seq:
-            d = demands[m.vm]
-            for kind, val in d.demands.items():
-                loads[m.source][kind] -= val
-                loads[m.target][kind] = loads[m.target].get(kind, 0.0) + val
-                assert loads[m.target][kind] <= 1.0 + 1e-9
-            loc[m.vm] = m.target
-        assert loc == tgt.assignments
-
-    def test_missing_demand_rejected(self):
-        from repro.virtualization.placement import plan_migration_sequence
-
-        demands = self.make_demands({"a": 0.5})
-        cur = self._manual_plan({"a": 0, "b": 1}, self.make_demands({"a": 0.5, "b": 0.5}))
-        tgt = self._manual_plan({"a": 1, "b": 0}, self.make_demands({"a": 0.5, "b": 0.5}))
-        with pytest.raises(ValueError):
-            plan_migration_sequence(cur, tgt, demands)
-
-
 class TestIncrementalBfd:
     """The ``into``/``allowed_hosts`` extensions behind re-consolidation."""
 

@@ -92,7 +92,7 @@ class TestTpcwAgainstMva:
     """The DbServiceModel's WIPS law is the closed-network MVA shape."""
 
     def test_wips_curve_bounded_by_mva_bounds(self):
-        from repro.queueing.mva import throughput_bounds
+        from oracles.mva import throughput_bounds
 
         model = DbServiceModel()
         # One server's capacity at v=2 VMs maps to a per-interaction
@@ -105,7 +105,7 @@ class TestTpcwAgainstMva:
             assert wips <= min(light, saturation) * 1.01
 
     def test_saturated_wips_equals_mva_limit(self):
-        from repro.queueing.mva import exact_mva
+        from oracles.mva import exact_mva
 
         model = DbServiceModel()
         cap = model.capacity(2)
