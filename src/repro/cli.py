@@ -2,25 +2,10 @@
 
 Feeds a JSON deployment description through the utility analytic model and
 prints the consolidation report — the tool an operator would actually run.
-
-JSON schema (see ``examples/deployment.json``)::
-
-    {
-      "loss_probability": 0.01,
-      "services": [
-        {
-          "name": "web",
-          "arrival_rate": 1200.0,
-          "service_rates": {"cpu": 3360.0, "disk_io": 1420.0},
-          "impact_factors": {"cpu": 0.65, "disk_io": 0.8},
-          "loss_probability": 0.001          # optional per-service SLA
-        },
-        ...
-      ],
-      "power": {"base_watts": 250.0, "max_watts": 295.0},   # optional
-      "xen_idle_factor": 0.91,                               # optional
-      "xen_workload_factor": 0.70                            # optional
-    }
+Parsing, validation and the report document live in :mod:`repro.core.plan`
+(its docstring has the schema, ``examples/deployment.json`` an example);
+this module reads the file, renders the result and maps a
+:class:`~repro.core.plan.DeploymentError` to exit code 2.
 
 Flags: ``--load-model {paper,offered}`` selects the Eq. 4 reading,
 ``--json`` emits machine-readable output instead of the text report, and
@@ -35,21 +20,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
-from .core import (
-    ConsolidationPlanner,
-    ConsolidationReport,
-    ModelInputs,
-    ResourceKind,
-    ServerPowerModel,
-    ServiceSpec,
-    UtilityAnalyticModel,
+from .core import ModelInputs, ResourceKind
+from .core.plan import (
+    LOAD_MODELS,
+    DeploymentError,
+    build_report,
+    parse_deployment,
+    report_json,
 )
-from .core.multiqos import solve_with_targets
-from .core.power import power_comparison
-from .core.utilization import utilization_report
 from .obs import (
     MetricsRegistry,
     SpanProfiler,
@@ -60,136 +42,11 @@ from .obs import (
     write_trace_jsonl,
 )
 
-__all__ = ["main", "parse_deployment"]
+__all__ = ["main", "parse_deployment", "DeploymentError"]
 
-
-class DeploymentError(ValueError):
-    """Raised for malformed deployment descriptions (exit code 2)."""
-
-
-def _resource(name: str) -> ResourceKind:
-    try:
-        return ResourceKind(name)
-    except ValueError:
-        valid = ", ".join(r.value for r in ResourceKind)
-        raise DeploymentError(
-            f"unknown resource {name!r}; valid kinds: {valid}"
-        ) from None
-
-
-def _service(entry: Mapping[str, Any]) -> tuple[ServiceSpec, float | None]:
-    for field in ("name", "arrival_rate", "service_rates"):
-        if field not in entry:
-            raise DeploymentError(f"service entry missing {field!r}: {entry}")
-    rates = {_resource(k): float(v) for k, v in entry["service_rates"].items()}
-    impacts = {
-        _resource(k): float(v)
-        for k, v in entry.get("impact_factors", {}).items()
-    }
-    try:
-        spec = ServiceSpec(
-            name=str(entry["name"]),
-            arrival_rate=float(entry["arrival_rate"]),
-            service_rates=rates,
-            impact_factors=impacts,
-        )
-    except (TypeError, ValueError) as exc:
-        raise DeploymentError(f"invalid service {entry.get('name')!r}: {exc}") from exc
-    target = entry.get("loss_probability")
-    return spec, (float(target) if target is not None else None)
-
-
-def parse_deployment(doc: Mapping[str, Any]):
-    """Validate a deployment document.
-
-    Returns ``(inputs, per_service_targets, planner)``.
-    """
-    if "services" not in doc or not doc["services"]:
-        raise DeploymentError("deployment must list at least one service")
-    if "loss_probability" not in doc:
-        raise DeploymentError("deployment must set loss_probability")
-    services = []
-    targets: dict[str, float] = {}
-    for entry in doc["services"]:
-        spec, target = _service(entry)
-        services.append(spec)
-        if target is not None:
-            targets[spec.name] = target
-    try:
-        inputs = ModelInputs(tuple(services), float(doc["loss_probability"]))
-    except ValueError as exc:
-        raise DeploymentError(str(exc)) from exc
-
-    power_doc = doc.get("power", {})
-    try:
-        power = ServerPowerModel(
-            base_watts=float(power_doc.get("base_watts", 250.0)),
-            max_watts=float(power_doc.get("max_watts", 295.0)),
-        )
-        planner = ConsolidationPlanner(
-            power_model=power,
-            xen_idle_factor=float(doc.get("xen_idle_factor", 1.0)),
-            xen_workload_factor=float(doc.get("xen_workload_factor", 1.0)),
-        )
-    except ValueError as exc:
-        raise DeploymentError(str(exc)) from exc
-    return inputs, targets, planner
-
-
-def _build_report(
-    inputs: ModelInputs, planner: ConsolidationPlanner, load_model: str
-) -> ConsolidationReport:
-    """Solve once under ``load_model`` and assemble the full report.
-
-    Used for both Eq. 4 readings — for ``"paper"`` this produces exactly
-    what :meth:`ConsolidationPlanner.plan` would, without a second solve.
-    """
-    solution = UtilityAnalyticModel(inputs, load_model=load_model).solve()
-    util = utilization_report(solution)
-    power = power_comparison(
-        solution,
-        power_model=planner.power_model,
-        xen_idle_factor=planner.xen_idle_factor,
-        xen_workload_factor=planner.xen_workload_factor,
-        utilization=util,
-    )
-    dedicated_packing = consolidated_packing = None
-    if planner.inventory is not None:
-        dedicated_packing = planner.inventory.pack(solution.dedicated_servers)
-        consolidated_packing = planner.inventory.pack(solution.consolidated_servers)
-    return ConsolidationReport(
-        solution=solution,
-        utilization=util,
-        power=power,
-        dedicated_packing=dedicated_packing,
-        consolidated_packing=consolidated_packing,
-    )
-
-
-def _report_json(report, inputs, targets, load_model) -> dict:
-    out = {
-        "load_model": load_model,
-        "loss_probability": inputs.loss_probability,
-        "dedicated_servers": report.dedicated_servers,
-        "consolidated_servers": report.consolidated_servers,
-        "infrastructure_saving": report.infrastructure_saving,
-        "power_saving": report.power_saving,
-        "utilization_improvement": report.utilization_improvement,
-        "dedicated_breakdown": {
-            d.service.name: d.servers for d in report.solution.dedicated
-        },
-        "consolidated_bottleneck": (
-            str(report.solution.consolidated_bottleneck)
-            if report.solution.consolidated_bottleneck
-            else None
-        ),
-    }
-    if targets:
-        multi = solve_with_targets(inputs, targets, load_model)
-        out["per_service_targets"] = dict(multi.targets)
-        out["consolidated_servers_with_targets"] = multi.consolidated_servers
-        out["dedicated_servers_with_targets"] = multi.dedicated_servers
-    return out
+# The plan core's entry points under the names scripts have long imported.
+_build_report = build_report
+_report_json = report_json
 
 
 def _control_preview(inputs: ModelInputs, power_model) -> dict:
@@ -277,7 +134,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("deployment", help="path to the deployment JSON file")
     parser.add_argument(
         "--load-model",
-        choices=("paper", "offered"),
+        choices=LOAD_MODELS,
         default="paper",
         help="Eq. 4 reading: the paper's arithmetic mixture, or the "
         "conservative offered load (recommended for hard SLAs)",
@@ -317,14 +174,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON in {path}: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
         return 2
-
-    try:
-        inputs, targets, planner = parse_deployment(doc)
-    except DeploymentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RecursionError) as exc:
+        print(f"error: invalid JSON in {path}: {exc}", file=sys.stderr)
         return 2
 
     observed = bool(args.metrics_out or args.trace_out or args.profile_out)
@@ -332,18 +186,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     trace = TraceLog() if observed else None
     profiler = SpanProfiler() if args.profile_out else None
 
-    # One solve, under the requested Eq. 4 reading, for the whole report.
-    if observed:
-        with scoped_registry(registry), scoped_trace(trace):
-            span = (
-                profiler.span(trace, "plan", deployment=str(path), load_model=args.load_model)
-                if profiler is not None
-                else trace.span("plan", deployment=str(path), load_model=args.load_model)
-            )
-            with span:
-                report = _build_report(inputs, planner, args.load_model)
-    else:
-        report = _build_report(inputs, planner, args.load_model)
+    try:
+        inputs, targets, planner = parse_deployment(doc)
+        # One solve, under the requested Eq. 4 reading, for the whole report.
+        with ExitStack() as scope:
+            if observed:
+                scope.enter_context(scoped_registry(registry))
+                scope.enter_context(scoped_trace(trace))
+                attrs = {"deployment": str(path), "load_model": args.load_model}
+                scope.enter_context(
+                    profiler.span(trace, "plan", **attrs)
+                    if profiler is not None
+                    else trace.span("plan", **attrs)
+                )
+            report = build_report(inputs, planner, args.load_model)
+        doc_out = report_json(report, inputs, targets, args.load_model)
+    except DeploymentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if observed:
         try:
@@ -361,7 +221,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         _control_preview(inputs, planner.power_model) if args.control else None
     )
     if args.json:
-        doc_out = _report_json(report, inputs, targets, args.load_model)
         if preview is not None:
             doc_out["control_preview"] = preview
         print(json.dumps(doc_out, indent=2))
@@ -387,13 +246,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             if "note" in preview:
                 print(f"    note              : {preview['note']}")
         if targets:
-            multi = solve_with_targets(inputs, targets, args.load_model)
             print()
             print("  Per-service QoS targets:")
-            for name, b in multi.targets.items():
+            for name, b in doc_out["per_service_targets"].items():
                 print(f"    {name:<12s} B = {b:g}")
             print(
-                f"  Consolidated servers under targets: {multi.consolidated_servers}"
+                "  Consolidated servers under targets: "
+                f"{doc_out['consolidated_servers_with_targets']}"
             )
     return 0
 

@@ -118,8 +118,14 @@ class ConsolidationPlanner:
         self, services: Sequence[ServiceSpec], loss_probability: float
     ) -> ConsolidationReport:
         """Run the full model and assemble the report."""
-        inputs = ModelInputs(tuple(services), loss_probability)
-        solution = UtilityAnalyticModel(inputs).solve()
+        return self.plan_inputs(ModelInputs(tuple(services), loss_probability))
+
+    def plan_inputs(
+        self, inputs: ModelInputs, load_model: str = "paper"
+    ) -> ConsolidationReport:
+        """:meth:`plan` for validated inputs, under the Eq. 4 reading
+        ``load_model`` (:data:`~repro.core.model.LOAD_MODELS`)."""
+        solution = UtilityAnalyticModel(inputs, load_model=load_model).solve()
         util = utilization_report(solution)
         power = power_comparison(
             solution,

@@ -32,10 +32,14 @@ from ..queueing.cache import cached_min_servers_grid as min_servers_grid
 from .inputs import ModelInputs, ResourceKind, ServiceSpec
 
 __all__ = [
+    "LOAD_MODELS",
     "DedicatedServiceSizing",
     "ConsolidationSolution",
     "UtilityAnalyticModel",
 ]
+
+#: The two readings of Eq. 4 (see :meth:`ModelInputs.consolidated_mu`).
+LOAD_MODELS = ("paper", "offered")
 
 
 @dataclass(frozen=True)
@@ -178,7 +182,7 @@ class UtilityAnalyticModel:
     """
 
     def __init__(self, inputs: ModelInputs, load_model: str = "paper") -> None:
-        if load_model not in ("paper", "offered"):
+        if load_model not in LOAD_MODELS:
             raise ValueError(f"unknown load model {load_model!r} (paper|offered)")
         self.inputs = inputs
         self.load_model = load_model

@@ -1035,9 +1035,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 timeseries_docs = series_docs + alarm_docs
                 break
 
-    # Imported lazily: repro.service pulls in the planner CLI stack, and
-    # repro.obs.__init__ imports this module — a top-level import would
-    # be circular.
+    # Imported lazily: repro.obs.__init__ imports this module, and
+    # repro.service's package import reaches repro.core, whose model
+    # imports get_registry from the half-initialised repro.obs — a
+    # top-level import would be circular.
     from ..service.accesslog import load_access_log
 
     access_docs = None

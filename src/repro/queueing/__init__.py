@@ -15,8 +15,7 @@ theory" is implemented here from first principles:
   vectorized core (same values bit for bit, same ``ValueError`` text);
 - :mod:`repro.queueing.cache` — the bounded memo over the inversions that
   the model's hot path calls;
-- :mod:`repro.queueing.mmn` — M/M/n delay metrics and waiting-time
-  percentiles;
+- :mod:`repro.queueing.mmn` — M/M/n delay metrics;
 - :mod:`repro.queueing.fixed_point` — reduced-load Erlang fixed point for
   multi-resource loss networks;
 - :mod:`repro.queueing.engset` — finite-source loss (Engset) refinement.
@@ -54,12 +53,7 @@ from .vectorized import (
     min_servers_continuous,
     offered_load,
 )
-from .mmn import (
-    DelaySystemMetrics,
-    mmn_delay_metrics,
-    wait_percentile,
-    wait_tail_probability,
-)
+from .mmn import DelaySystemMetrics, mmn_delay_metrics
 from .fixed_point import FixedPointResult, erlang_fixed_point, fixed_point_for_inputs
 from .poisson import (
     MarkedArrivals,
@@ -92,8 +86,6 @@ __all__ = [
     "offered_load",
     "DelaySystemMetrics",
     "mmn_delay_metrics",
-    "wait_tail_probability",
-    "wait_percentile",
     "engset_time_congestion",
     "engset_call_congestion",
     "engset_min_servers",

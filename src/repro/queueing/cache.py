@@ -9,11 +9,11 @@ into a dict lookup.
 
 Correctness contract:
 
-- keys are ``(rho, B)`` rounded to :attr:`ErlangCache.RHO_DECIMALS` /
-  :attr:`ErlangCache.TARGET_DECIMALS` decimals; two inputs share an entry
-  only if they agree to that tolerance, which is far below the
-  step-function granularity of ``min_servers`` everywhere except exactly
-  at a step boundary.  The precision is part of :meth:`ErlangCache.stats`,
+- keys are ``(rho, B)``, ``rho`` rounded to :attr:`ErlangCache.RHO_DECIMALS`
+  decimals and ``B`` to :attr:`ErlangCache.TARGET_DECIMALS` significant
+  digits; two inputs share an entry only if they agree to that tolerance,
+  which is far below the step-function granularity of ``min_servers``
+  everywhere except exactly at a step boundary.  The precision is part of :meth:`ErlangCache.stats`,
   so every run manifest records it under ``parallel.cache``;
 - every input is validated *before* the lookup, exactly as the uncached
   solver validates it (same checks, same order, same message): an invalid
@@ -81,8 +81,9 @@ class ErlangCache:
     #: 1e-9 in offered load is ~1 request/year of drift at the paper's
     #: scales.
     RHO_DECIMALS = 9
-    #: Blocking targets are probabilities; 12 decimals keeps distinct QoS
-    #: classes (paper uses 1e-2..1e-4) unambiguously apart.
+    #: Blocking targets are probabilities in (0, 1), rounded to this many
+    #: significant digits: 12 decimals at ``B >= 0.1`` and proportionally
+    #: more below, so QoS classes stay apart however strict they are.
     TARGET_DECIMALS = 12
 
     def __init__(self, maxsize: int = 65536) -> None:
@@ -102,12 +103,10 @@ class ErlangCache:
         if kind == "erlang_b":
             n, rho = args
             return ("erlang_b", int(n), round(float(rho), self.RHO_DECIMALS))
-        rho, target = args
-        return (
-            kind,
-            round(float(rho), self.RHO_DECIMALS),
-            round(float(target), self.TARGET_DECIMALS),
-        )
+        rho, target = float(args[0]), float(args[1])
+        # Targets are validated positive before any lookup.
+        digits = self.TARGET_DECIMALS - 1 - math.floor(math.log10(target))
+        return (kind, round(rho, self.RHO_DECIMALS), round(target, digits))
 
     # -- core lookup ------------------------------------------------------------------
 

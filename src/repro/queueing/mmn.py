@@ -3,22 +3,16 @@
 The paper's model treats each resource of the pooled data center as an
 ``n``-server Erlang loss system.  The delay (Erlang C) variant packaged
 here backs the sanity checks on response time: the DES delay simulation
-is validated against it, and its waiting-time tail gives percentile SLAs.
+is validated against it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .erlang import erlang_c, offered_load
 
-__all__ = [
-    "DelaySystemMetrics",
-    "mmn_delay_metrics",
-    "wait_tail_probability",
-    "wait_percentile",
-]
+__all__ = ["DelaySystemMetrics", "mmn_delay_metrics"]
 
 
 @dataclass(frozen=True)
@@ -63,39 +57,3 @@ def mmn_delay_metrics(
         mean_wait=mean_wait,
         mean_response_time=mean_wait + 1.0 / service_rate,
     )
-
-
-def wait_tail_probability(
-    arrival_rate: float, service_rate: float, servers: int, t: float
-) -> float:
-    """``P(W > t)`` for the M/M/n queue.
-
-    The conditional wait given queueing is exponential with rate
-    ``n*mu - lambda``, so ``P(W > t) = C(n, rho) * exp(-(n mu - lambda) t)``
-    — the formula behind percentile response-time SLAs ("95% of requests
-    wait under 50 ms"), which loss probabilities alone cannot express.
-    """
-    if t < 0.0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    metrics = mmn_delay_metrics(arrival_rate, service_rate, servers)
-    rate = servers * service_rate - arrival_rate
-    return metrics.probability_of_wait * math.exp(-rate * t)
-
-
-def wait_percentile(
-    arrival_rate: float, service_rate: float, servers: int, quantile: float
-) -> float:
-    """Smallest ``t`` with ``P(W <= t) >= quantile``.
-
-    Returns 0 when the no-wait probability already covers the quantile;
-    otherwise inverts the exponential tail in closed form.
-    """
-    if not 0.0 < quantile < 1.0:
-        raise ValueError(f"quantile must lie in (0, 1), got {quantile}")
-    metrics = mmn_delay_metrics(arrival_rate, service_rate, servers)
-    c = metrics.probability_of_wait
-    tail_target = 1.0 - quantile
-    if c <= tail_target:
-        return 0.0
-    rate = servers * service_rate - arrival_rate
-    return math.log(c / tail_target) / rate

@@ -6,8 +6,11 @@ drive it by direct invocation and the socket layer
 (:mod:`repro.service.server`) stays a thin adapter.  Endpoints:
 
 - ``POST /plan`` — deployment JSON in (same document ``repro-plan``
-  reads, plus an optional top-level ``load_model``), full consolidation
-  report out.  Responses are cached on the SHA-256 of the raw request
+  reads; its optional top-level ``load_model`` picks the Eq. 4 reading),
+  full consolidation report out.  Parsing, planning and the report
+  document come from :mod:`repro.core.plan`, as for ``repro-plan``; a
+  :class:`~repro.core.plan.DeploymentError` is a 400 with a structured
+  error body.  Responses are cached on the SHA-256 of the raw request
   body, which both guarantees byte-identical answers for identical
   requests and makes the warm-cache path allocation-light; the Erlang
   inversions underneath share the process-wide
@@ -35,7 +38,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from ..cli import DeploymentError, _build_report, _report_json, parse_deployment
+from ..core.plan import DeploymentError, build_report, parse_deployment, report_json
 from ..obs.export import PROMETHEUS_CONTENT_TYPE, prometheus_text
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import TraceLog
@@ -46,8 +49,6 @@ from .slo import SLOTracker
 __all__ = ["PlannerApp", "Response", "JSON_CONTENT_TYPE"]
 
 JSON_CONTENT_TYPE = "application/json"
-
-_LOAD_MODELS = ("paper", "offered")
 
 
 @dataclass(frozen=True)
@@ -266,25 +267,15 @@ class PlannerApp:
         ).inc()
         try:
             doc = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             return _error_response(400, f"request body is not valid JSON: {exc}", request_id)
-        if not isinstance(doc, dict):
-            return _error_response(400, "request body must be a JSON object", request_id)
-        load_model = doc.get("load_model", "paper")
-        if load_model not in _LOAD_MODELS:
-            return _error_response(
-                400,
-                f"load_model must be one of {_LOAD_MODELS}, got {load_model!r}",
-                request_id,
-            )
         try:
             inputs, targets, planner = parse_deployment(doc)
-            report = _build_report(inputs, planner, load_model)
-            out = _report_json(report, inputs, targets, load_model)
+            load_model = doc.get("load_model", "paper")
+            report = build_report(inputs, planner, load_model)
+            out = report_json(report, inputs, targets, load_model)
         except DeploymentError as exc:
             return _error_response(400, str(exc), request_id)
-        except ValueError as exc:
-            return _error_response(400, f"unsolvable deployment: {exc}", request_id)
         response = _json_response(200, out)
         self._plan_cache_put(key, response)
         return response

@@ -91,6 +91,14 @@ class TestKeyTolerance:
         keys = {cache.key_for("min_servers", 50.0, t) for t in (1e-2, 1e-3, 1e-4)}
         assert len(keys) == 3
 
+    def test_tiny_targets_keep_their_own_entries(self):
+        # Targets are keyed by significant digits: 1e-13 and 4e-13 must not
+        # share the entry that 12 plain decimals (both 0.0) would give them.
+        cache = ErlangCache()
+        assert cache.min_servers(50.0, 1e-13) == erlang.min_servers(50.0, 1e-13) == 110
+        assert cache.min_servers(50.0, 4e-13) == erlang.min_servers(50.0, 4e-13) == 109
+        assert cache.stats()["misses"] == 2
+
     def test_kinds_do_not_collide(self):
         cache = ErlangCache()
         assert cache.min_servers(30.0, 0.01) >= cache.min_servers_continuous(

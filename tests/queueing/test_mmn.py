@@ -37,52 +37,3 @@ class TestDelayMetrics:
         light = mmn_delay_metrics(1.0, 1.0, 4)
         heavy = mmn_delay_metrics(3.9, 1.0, 4)
         assert heavy.mean_wait > 50.0 * light.mean_wait
-
-
-class TestWaitDistribution:
-    def test_tail_at_zero_is_probability_of_wait(self):
-        from repro.queueing.mmn import wait_tail_probability
-
-        lam, mu, n = 8.0, 3.0, 4
-        m = mmn_delay_metrics(lam, mu, n)
-        assert wait_tail_probability(lam, mu, n, 0.0) == pytest.approx(
-            m.probability_of_wait
-        )
-
-    def test_tail_decreasing_and_integrates_to_mean(self):
-        from repro.queueing.mmn import wait_tail_probability
-
-        lam, mu, n = 8.0, 3.0, 4
-        ts = [0.0, 0.1, 0.5, 1.0, 2.0]
-        tails = [wait_tail_probability(lam, mu, n, t) for t in ts]
-        assert all(a > b for a, b in zip(tails, tails[1:]))
-        # Integral of the tail equals the mean wait (numerical check).
-        import numpy as np
-
-        grid = np.linspace(0.0, 10.0, 20_001)
-        tail = np.array([wait_tail_probability(lam, mu, n, t) for t in grid])
-        mean = float(np.trapezoid(tail, grid))
-        assert mean == pytest.approx(
-            mmn_delay_metrics(lam, mu, n).mean_wait, rel=1e-3
-        )
-
-    def test_percentile_inverts_tail(self):
-        from repro.queueing.mmn import wait_percentile, wait_tail_probability
-
-        lam, mu, n = 8.0, 3.0, 4
-        t95 = wait_percentile(lam, mu, n, 0.95)
-        assert wait_tail_probability(lam, mu, n, t95) == pytest.approx(0.05)
-
-    def test_light_load_percentile_zero(self):
-        from repro.queueing.mmn import wait_percentile
-
-        # Almost nobody waits: the 90th percentile wait is exactly 0.
-        assert wait_percentile(0.5, 10.0, 4, 0.9) == 0.0
-
-    def test_validation(self):
-        from repro.queueing.mmn import wait_percentile, wait_tail_probability
-
-        with pytest.raises(ValueError):
-            wait_tail_probability(1.0, 1.0, 2, -1.0)
-        with pytest.raises(ValueError):
-            wait_percentile(1.0, 1.0, 2, 1.0)

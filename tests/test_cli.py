@@ -101,6 +101,16 @@ class TestMain:
         assert main([str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_unreadable_file(self, tmp_path, capsys):
+        assert main([str(tmp_path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main([str(path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
     def test_semantic_error(self, tmp_path, capsys):
         doc = dict(VALID_DOC, loss_probability=2.0)
         assert main([write(tmp_path, doc)]) == 2

@@ -6,6 +6,9 @@ the three packages is parsed (not imported), and every import statement
 in it — function-local ones included — is resolved to an absolute module
 name and checked against the packages above.  Their only upward edge is
 to ``repro.obs`` for instrumentation, which is allowed.
+
+``repro.cli`` is the top of the stack: only ``repro/__main__.py`` (the
+``python -m repro`` entry point) may import it.
 """
 
 import ast
@@ -73,6 +76,23 @@ def test_lower_layers_do_not_import_upward(layer):
     assert violations == []
 
 
+def _imports_cli(module: str) -> bool:
+    return module == "repro.cli" or module.startswith("repro.cli.")
+
+
+def test_only_the_entry_point_imports_cli():
+    entry = SRC / "repro" / "__main__.py"
+    violations = [
+        f"{path.relative_to(SRC)}:{line} imports {module}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if path != entry
+        for line, module in imported_modules(path)
+        if _imports_cli(module)
+    ]
+    assert violations == []
+    assert any(_imports_cli(m) for _line, m in imported_modules(entry))
+
+
 def test_resolver_sees_relative_and_function_local_imports(tmp_path):
     pkg = tmp_path / "repro" / "core"
     pkg.mkdir(parents=True)
@@ -90,3 +110,4 @@ def test_resolver_sees_relative_and_function_local_imports(tmp_path):
         "repro.cli", "repro.parallel.sweep", "repro.parallel.sweep.sweep_map",
         "repro.service.app",
     ]
+    assert [m for m in sorted(found) if _imports_cli(m)] == ["repro.cli"]
