@@ -1,6 +1,6 @@
 """Benchmark (L6): one warm ``POST /plan`` over loopback HTTP.
 
-An in-process :class:`~repro.service.PlannerServer` on an ephemeral port
+An in-process :class:`~repro.service.server.PlannerServer` on an ephemeral port
 and one keep-alive client connection are set up once per process, by the
 first call (a calibration probe or warmup under ``repro-bench run``'s
 defaults), so the timed calls measure requests only.  Each call posts
@@ -19,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import PlannerApp, PlannerServer
+from repro.service import PlannerApp
+from repro.service.server import PlannerServer
 
 DEPLOYMENT = Path(__file__).resolve().parents[1] / "examples" / "deployment.json"
 _HEADERS = {"Content-Type": "application/json"}

@@ -52,7 +52,7 @@ from .core import (
     virtualization_bound,
 )
 
-__version__ = "1.0.0"
+__version__ = obs.MODEL_VERSION
 
 __all__ = [
     "__version__",

@@ -7,7 +7,8 @@ Parsing, validation and the report document live in :mod:`repro.core.plan`
 this module reads the file, renders the result and maps a
 :class:`~repro.core.plan.DeploymentError` to exit code 2.
 
-Flags: ``--load-model {paper,offered}`` selects the Eq. 4 reading,
+Flags: ``--load-model {paper,offered}`` selects the Eq. 4 reading (else
+the deployment's own ``load_model``, else ``paper``, as ``POST /plan``),
 ``--json`` emits machine-readable output instead of the text report, and
 ``--metrics-out`` / ``--trace-out`` enable the observability layer
 (:mod:`repro.obs`) and export a Prometheus metric snapshot / JSONL trace
@@ -29,6 +30,7 @@ from .core.plan import (
     LOAD_MODELS,
     DeploymentError,
     build_report,
+    load_model_of,
     parse_deployment,
     report_json,
 )
@@ -135,9 +137,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--load-model",
         choices=LOAD_MODELS,
-        default="paper",
         help="Eq. 4 reading: the paper's arithmetic mixture, or the "
-        "conservative offered load (recommended for hard SLAs)",
+        "conservative offered load (recommended for hard SLAs); default: "
+        "the deployment's load_model, else paper",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
@@ -188,19 +190,20 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         inputs, targets, planner = parse_deployment(doc)
+        load_model = load_model_of(doc, args.load_model)
         # One solve, under the requested Eq. 4 reading, for the whole report.
         with ExitStack() as scope:
             if observed:
                 scope.enter_context(scoped_registry(registry))
                 scope.enter_context(scoped_trace(trace))
-                attrs = {"deployment": str(path), "load_model": args.load_model}
+                attrs = {"deployment": str(path), "load_model": load_model}
                 scope.enter_context(
                     profiler.span(trace, "plan", **attrs)
                     if profiler is not None
                     else trace.span("plan", **attrs)
                 )
-            report = build_report(inputs, planner, args.load_model)
-        doc_out = report_json(report, inputs, targets, args.load_model)
+            report = build_report(inputs, planner, load_model)
+        doc_out = report_json(report, inputs, targets, load_model)
     except DeploymentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 from scipy import stats as sps
 
+from ..queueing.erlang import erlang_b
+
 __all__ = [
     "ServerReliability",
     "fleet_up_probability",
@@ -134,8 +136,6 @@ def expected_loss_with_failures(
         raise ValueError(f"fleet must be non-negative, got {fleet}")
     if offered_load < 0.0:
         raise ValueError(f"offered load must be non-negative, got {offered_load}")
-    from ..queueing.erlang import erlang_b
-
     a = reliability.availability
     total = 0.0
     for k in range(fleet + 1):

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.inputs import ResourceKind
+from ..core.power import ServerPowerModel
 from .pool import ServerPool
 
 __all__ = ["EnergyReading", "PowerMeter", "apply_platform_effect"]
@@ -133,8 +135,6 @@ class PowerMeter:
         utilization holding from each instant to the next (len k; the last
         entry is unused, as is conventional for step functions).
         """
-        from ..core.inputs import ResourceKind
-
         t = np.asarray(times, dtype=float)
         u = np.asarray(utilizations, dtype=float)
         if t.ndim != 1 or t.shape != u.shape or t.size < 2:
@@ -166,8 +166,6 @@ def apply_platform_effect(
     ``dynamic_factor`` the utilization-proportional part (~0.70 measured
     per-workload on consolidated Xen).
     """
-    from ..core.power import ServerPowerModel
-
     if idle_factor <= 0.0 or dynamic_factor <= 0.0:
         raise ValueError("platform factors must be positive")
     for server in pool:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..queueing.erlang import erlang_b
 from .inputs import ModelInputs
 from .model import UtilityAnalyticModel
 
@@ -78,8 +79,6 @@ def _equal_server_bound(inputs: ModelInputs, servers: int | None) -> QosBound:
     # proportionally to the per-service requirement, preserving integrality.
     m_total = solution.dedicated_servers
     worst_dedicated = 0.0
-    from ..queueing.erlang import erlang_b  # local import to avoid cycle at module load
-
     for sizing in solution.dedicated:
         if m_total > 0:
             share = max(1, round(servers * sizing.servers / m_total))

@@ -29,7 +29,14 @@ from .inputs import ModelInputs, ResourceKind, ServiceSpec
 from .model import LOAD_MODELS
 from .power import ServerPowerModel
 
-__all__ = ["LOAD_MODELS", "DeploymentError", "parse_deployment", "build_report", "report_json"]
+__all__ = [
+    "LOAD_MODELS",
+    "DeploymentError",
+    "parse_deployment",
+    "load_model_of",
+    "build_report",
+    "report_json",
+]
 
 _JSON_NUMBERS = frozenset((int, float))  # exact types: a bool is not a number
 _MAX = sys.float_info.max
@@ -91,12 +98,21 @@ def _service(index: int, entry: Any) -> tuple[ServiceSpec, float | None]:
     return spec, target
 
 
+def load_model_of(doc: Mapping[str, Any], override: str | None = None) -> str:
+    """The Eq. 4 reading to plan ``doc`` under.
+
+    ``override`` (``repro-plan --load-model``) when given, else the
+    document's top-level ``load_model``, else ``"paper"``.
+    """
+    return override if override is not None else doc.get("load_model", "paper")
+
+
 def parse_deployment(doc: Any) -> tuple[ModelInputs, dict[str, float], ConsolidationPlanner]:
     """Validate a deployment document.
 
     Returns ``(inputs, per_service_targets, planner)``.  The top-level
-    ``load_model`` is checked too; the service reads it afterwards with
-    ``doc.get("load_model", "paper")``, the CLI takes ``--load-model``.
+    ``load_model`` is checked too; callers read it afterwards with
+    :func:`load_model_of`.
     """
     doc = _object(doc, "deployment")
     services = doc.get("services")
@@ -106,7 +122,7 @@ def parse_deployment(doc: Any) -> tuple[ModelInputs, dict[str, float], Consolida
         raise DeploymentError("services must be a JSON array of service objects")
     if "loss_probability" not in doc:
         raise DeploymentError("deployment must set loss_probability")
-    load_model = doc.get("load_model", "paper")
+    load_model = load_model_of(doc)
     if load_model not in LOAD_MODELS:
         raise DeploymentError(f"load_model must be one of {LOAD_MODELS}, got {load_model!r}")
     specs, targets = [], {}

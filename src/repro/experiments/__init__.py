@@ -8,8 +8,30 @@ Run everything with ``python -m repro.experiments`` or target one artifact
     print(result.text)
 
 See DESIGN.md's per-experiment index for the artifact -> module mapping.
+Importing the package registers every experiment and declares its
+fidelity expectations.
 """
 
+# Importing the experiment modules populates the registry.
+from . import (  # noqa: F401  (imported for registration side effects)
+    applications,
+    ext_dynamic,
+    ext_multiservice,
+    ext_scale,
+    ext_telemetry,
+    ext_wan,
+    fig02_motivation,
+    fig05_web_io,
+    fig06_web_cpu,
+    fig07_vcpu_pinning,
+    fig08_db_cpu,
+    fig09_operating_point,
+    fig10_group1,
+    fig11_group2,
+    fig12_power_total,
+    fig13_power_workload,
+    table1,
+)
 from .base import ExperimentResult, all_experiments, get_experiment
 from .casestudy import (
     GROUP1,
@@ -37,7 +59,5 @@ __all__ = [
 
 
 def run_experiment(name: str, seed: int = 2009, fast: bool = True) -> ExperimentResult:
-    """Run one registered experiment by name (loads the registry first)."""
-    from . import runner  # noqa: F401  (registers all experiments)
-
+    """Run one registered experiment by name."""
     return get_experiment(name)(seed=seed, fast=fast)

@@ -98,7 +98,7 @@ def run(seed: int = 2009, fast: bool = True, jobs: int = 1) -> ExperimentResult:
     idle_linux_per_server = ded.idle_energy / ded.duration / case.dedicated.servers
     idle_xen_per_server = con.idle_energy / con.duration / case.consolidated.servers
     summary = {
-        # Absolute energy block: the fleet audit layer (repro.obs.fleet)
+        # Absolute energy block: the fleet audit layer (repro.reporting.fleet)
         # prices these numbers in $/kWh and gCO2/kWh, so the summary must
         # carry watts and joules, not just saving fractions.
         "dedicated_servers": case.dedicated.servers,

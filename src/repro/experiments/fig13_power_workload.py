@@ -39,7 +39,7 @@ def run(seed: int = 2009, fast: bool = True) -> ExperimentResult:
     ]
     summary = {
         # Absolute workload-attributed draw, surfaced for the fleet audit
-        # layer (repro.obs.fleet) alongside fig12's total-energy block.
+        # layer (repro.reporting.fleet) alongside fig12's total-energy block.
         "dedicated_workload_power_W": round(ded.workload_energy / ded.duration, 2),
         "consolidated_workload_power_W": round(con.workload_energy / con.duration, 2),
         "workload_power_saving": round(case.workload_power_saving, 3),

@@ -26,7 +26,7 @@ code 1 (the CI push gate).  ``--report-out FILE`` additionally renders the
 whole run — the fleet decision priced under the ``--price-usd-per-kwh``/
 ``--carbon-g-per-kwh``/``--server-capex-usd`` audit assumptions, manifest,
 metrics, trace, bench trend, fidelity scoreboard, experiment summaries —
-into one self-contained HTML report (:mod:`repro.obs.report`) with its
+into one self-contained HTML report (:mod:`repro.reporting.report`) with its
 ``FLEET_*.json`` companion beside it.
 """
 
@@ -40,49 +40,25 @@ from time import perf_counter
 from typing import Sequence
 
 from ..obs import (
-    AuditAssumptions,
     MetricsRegistry,
     ProgressReporter,
     SpanProfiler,
     TraceLog,
-    build_fidelity_artifact,
-    build_ledger,
     build_manifest,
     environment_fingerprint,
     evaluate_summaries,
     scoped_registry,
     scoped_trace,
-    scoreboard_table,
-    write_fidelity_artifact,
     write_manifest,
     write_prometheus,
     write_timeseries_jsonl,
     write_trace_jsonl,
 )
-from ..obs.ledger import ledger_with_live_results
-from ..obs.report import BENCH_BASELINE, add_assumption_arguments, write_ledger_report
 from ..parallel import ParallelSweep, SweepStats, record_cache_metrics, shared_cache
-
-# Importing the experiment modules populates the registry.
-from . import (  # noqa: F401  (imported for registration side effects)
-    applications,
-    ext_dynamic,
-    ext_multiservice,
-    ext_scale,
-    ext_telemetry,
-    ext_wan,
-    fig02_motivation,
-    fig05_web_io,
-    fig06_web_cpu,
-    fig07_vcpu_pinning,
-    fig08_db_cpu,
-    fig09_operating_point,
-    fig10_group1,
-    fig11_group2,
-    fig12_power_total,
-    fig13_power_workload,
-    table1,
-)
+from ..reporting.fidelity import FIDELITY, build_fidelity_artifact, scoreboard_table
+from ..reporting.fleet import AuditAssumptions
+from ..reporting.ledger import build_ledger, ledger_with_live_results
+from ..reporting.report import BENCH_BASELINE, add_assumption_arguments, write_ledger_report
 from .base import all_experiments, get_experiment
 
 __all__ = ["main", "run_all"]
@@ -113,7 +89,7 @@ def _experiment_task(task: tuple):
     """Run one registered experiment (sweep-engine worker).
 
     Top-level so it pickles; importing this module in a spawned worker
-    re-populates the experiment registry.
+    imports :mod:`repro.experiments`, which re-populates the registry.
     """
     name, seed, fast, inner_jobs = task
     fn = get_experiment(name)
@@ -486,7 +462,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 file=sys.stderr,
             )
         if manifest_dir is not None and scoreboard.verdicts:
-            fidelity_path = write_fidelity_artifact(fidelity_doc, manifest_dir)
+            fidelity_path = FIDELITY.write(fidelity_doc, manifest_dir)
             print(
                 f"fidelity: {scoreboard.overall} -> {fidelity_path}",
                 file=sys.stderr,

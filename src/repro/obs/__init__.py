@@ -1,4 +1,4 @@
-"""Observability layer: metrics, traces, and run manifests.
+"""Observability layer: metrics, traces, telemetry, alarms, run manifests.
 
 Dependency-free instrumentation for the whole stack — the discrete-event
 engine, the Erlang solvers, the dispatchers, and the experiment runner all
@@ -18,30 +18,16 @@ Typical usage::
 
 The experiment runner (``repro-experiments --metrics-out --trace-out``)
 and the planner CLI (``repro-plan``) wire this up from the command line.
+
+This package holds instrumentation only, so the hot modules that import
+it load nothing else.  The readers of what it records — the run ledger,
+the bench harness, the fleet audit and the HTML report — live in
+:mod:`repro.reporting`, above the experiments and the service.
 """
 
-from .bench import (
-    BENCH_SCHEMA,
-    BenchResult,
-    BenchSpec,
-    build_artifact,
-    discover_suite,
-    merge_artifacts,
-    run_specs,
-    select_specs,
-    validate_artifact,
-    write_artifact,
-)
-from .compare import (
-    BenchDelta,
-    Comparison,
-    compare_artifacts,
-    load_artifact,
-    verdict_table,
-)
 from .envinfo import (
     FINGERPRINT_KEYS,
-    append_only_artifact_path,
+    MODEL_VERSION,
     detect_git_sha,
     environment_fingerprint,
 )
@@ -57,41 +43,14 @@ from .export import (
     write_trace_jsonl,
 )
 from .fidelity import (
-    FIDELITY_SCHEMA,
     Expectation,
     MetricVerdict,
     Scoreboard,
-    build_fidelity_artifact,
     check_expectations,
     declare_expectations,
     declared_experiments,
     evaluate_summaries,
     expectations_for,
-    load_fidelity_artifact,
-    scoreboard_table,
-    validate_fidelity_artifact,
-    write_fidelity_artifact,
-)
-from .report import render_report, write_report
-from .ledger import (
-    LEDGER_KINDS,
-    LedgerEntry,
-    RunLedger,
-    SkippedFile,
-    build_ledger,
-    fingerprint_key,
-)
-from .fleet import (
-    FLEET_SCHEMA,
-    AuditAssumptions,
-    ScenarioCost,
-    build_fleet_artifact,
-    build_fleet_summary,
-    load_fleet_artifact,
-    scenario_costs,
-    scenario_deltas,
-    validate_fleet_artifact,
-    write_fleet_artifact,
 )
 from .profileutil import PROFILE_SCHEMA, SpanProfiler
 from .progress import ProgressReporter
@@ -155,33 +114,15 @@ __all__ = [
     "build_manifest",
     "write_manifest",
     "MANIFEST_SCHEMA",
-    # bench harness
-    "BENCH_SCHEMA",
-    "BenchSpec",
-    "BenchResult",
-    "discover_suite",
-    "select_specs",
-    "run_specs",
-    "build_artifact",
-    "merge_artifacts",
-    "validate_artifact",
-    "write_artifact",
-    # comparison
-    "BenchDelta",
-    "Comparison",
-    "compare_artifacts",
-    "load_artifact",
-    "verdict_table",
     # profiling & progress
     "PROFILE_SCHEMA",
     "SpanProfiler",
     "ProgressReporter",
     # provenance
     "FINGERPRINT_KEYS",
-    "append_only_artifact_path",
+    "MODEL_VERSION",
     "detect_git_sha",
-    # fidelity scoreboard
-    "FIDELITY_SCHEMA",
+    # fidelity expectations
     "Expectation",
     "MetricVerdict",
     "Scoreboard",
@@ -190,32 +131,6 @@ __all__ = [
     "expectations_for",
     "check_expectations",
     "evaluate_summaries",
-    "build_fidelity_artifact",
-    "validate_fidelity_artifact",
-    "write_fidelity_artifact",
-    "load_fidelity_artifact",
-    "scoreboard_table",
-    # html report
-    "render_report",
-    "write_report",
-    # fleet run ledger
-    "LEDGER_KINDS",
-    "LedgerEntry",
-    "SkippedFile",
-    "RunLedger",
-    "build_ledger",
-    "fingerprint_key",
-    # fleet cost/energy/carbon aggregation
-    "FLEET_SCHEMA",
-    "AuditAssumptions",
-    "ScenarioCost",
-    "scenario_costs",
-    "scenario_deltas",
-    "build_fleet_summary",
-    "build_fleet_artifact",
-    "validate_fleet_artifact",
-    "write_fleet_artifact",
-    "load_fleet_artifact",
     # virtual-time telemetry bus
     "TIMESERIES_SCHEMA",
     "CounterSeries",

@@ -1,9 +1,10 @@
-"""Shared provenance helpers: environment fingerprint, git SHA, artifact paths.
+"""Shared provenance helpers: model version, environment fingerprint, git SHA.
 
 Every provenance-bearing artifact this repo writes — run manifests
 (``repro.run-manifest/v1``), bench trajectory points (``repro.bench/v1``),
-and fidelity scoreboards (``repro.fidelity/v1``) — must be attributable to
-a concrete environment and commit.  Keeping the fingerprint in one module
+fidelity scoreboards (``repro.fidelity/v1``) and fleet audits
+(``repro.fleet/v1``) — must be attributable to a concrete model version,
+environment and commit.  Keeping the fingerprint in one module
 guarantees all three artifact families carry the *identical* schema
 (:data:`FINGERPRINT_KEYS`), so cross-artifact joins ("was this FIDELITY
 point recorded on the same box as that BENCH point?") are a dict
@@ -16,15 +17,17 @@ import os
 import platform
 import subprocess
 from functools import lru_cache
-from pathlib import Path
 from typing import Any
 
 __all__ = [
+    "MODEL_VERSION",
     "FINGERPRINT_KEYS",
     "environment_fingerprint",
     "detect_git_sha",
-    "append_only_artifact_path",
 ]
+
+#: Version of the model every artifact records (``repro.__version__``).
+MODEL_VERSION = "1.0.0"
 
 #: Exact key set of :func:`environment_fingerprint` — artifact schema tests
 #: assert against this, so extending the fingerprint is a one-line change
@@ -87,21 +90,3 @@ def environment_fingerprint() -> dict[str, Any]:
             fingerprint[module] = None
     return fingerprint
 
-
-def append_only_artifact_path(
-    out_dir: str | Path, stem: str, suffix: str = ".json"
-) -> Path:
-    """First free ``<out_dir>/<stem><suffix>`` path, creating ``out_dir``.
-
-    A same-day same-commit rerun gets a ``_2``/``_3``… serial rather than
-    overwriting the earlier file — trajectory points (BENCH, FIDELITY) are
-    append-only by contract.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{stem}{suffix}"
-    serial = 1
-    while path.exists():
-        serial += 1
-        path = out_dir / f"{stem}_{serial}{suffix}"
-    return path

@@ -16,7 +16,7 @@ import re
 from pathlib import Path
 from typing import Any, Mapping
 
-from .envinfo import environment_fingerprint
+from .envinfo import MODEL_VERSION, environment_fingerprint
 from .registry import MetricsRegistry, NullRegistry
 from .trace import NullTraceLog, TraceLog
 
@@ -257,14 +257,6 @@ def inputs_hash(inputs: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _model_version() -> str:
-    # Imported lazily: repro/__init__ imports repro.obs, so a module-level
-    # import here would be circular.
-    from .. import __version__
-
-    return __version__
-
-
 def build_manifest(
     inputs: Mapping[str, Any],
     *,
@@ -281,7 +273,7 @@ def build_manifest(
     """
     manifest: dict[str, Any] = {
         "schema": MANIFEST_SCHEMA,
-        "model_version": _model_version(),
+        "model_version": MODEL_VERSION,
         "environment": environment_fingerprint(),
         "seed": seed,
         "inputs": dict(inputs),

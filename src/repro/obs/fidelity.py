@@ -1,4 +1,4 @@
-"""Paper-fidelity scoreboard: declared expectations, verdicts, artifacts.
+"""Paper-fidelity expectations: declared per experiment, graded into verdicts.
 
 PR 2's bench harness detects when the reproduction gets *slower*; this
 module detects when it stops reproducing the *paper*.  Each experiment
@@ -15,32 +15,26 @@ to contain, with explicit tolerances:
 
 A checker (:func:`evaluate_summaries`) consumes experiment summaries —
 from a fresh run or from the ``<id>.json`` artifacts the run ledger
-(:mod:`repro.obs.ledger`) indexes — and grades every declared metric:
+(:mod:`repro.reporting.ledger`) indexes — and grades every declared metric:
 
 - ``match``  — within the declared tolerance;
 - ``drift``  — outside the tolerance but within ``drift_factor`` times it
   (the model moved; a human should look, CI should not page);
 - ``fail``   — beyond the drift band, missing, or of the wrong type.
 
-The scoreboard serialises as an append-only ``FIDELITY_<date>_<sha>.json``
-artifact (schema ``repro.fidelity/v1``) in the same spirit as
-``BENCH_*.json``, so accuracy drift is tracked across commits exactly like
-performance.  Everything here is stdlib-only.
+Experiment modules declare at import time, so this half lives with the
+instrumentation.  The scoreboard's append-only ``FIDELITY_<date>_<sha>.json``
+artifact (schema ``repro.fidelity/v1``) and its table are written by
+:mod:`repro.reporting.fidelity`, so accuracy drift is tracked across
+commits exactly like performance.  Everything here is stdlib-only.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .envinfo import append_only_artifact_path, detect_git_sha, environment_fingerprint
-from .export import inputs_hash
-
 __all__ = [
-    "FIDELITY_SCHEMA",
     "VERDICTS",
     "Expectation",
     "MetricVerdict",
@@ -50,14 +44,7 @@ __all__ = [
     "declared_experiments",
     "check_expectations",
     "evaluate_summaries",
-    "build_fidelity_artifact",
-    "validate_fidelity_artifact",
-    "write_fidelity_artifact",
-    "load_fidelity_artifact",
-    "scoreboard_table",
 ]
-
-FIDELITY_SCHEMA = "repro.fidelity/v1"
 
 #: Per-metric verdicts, best to worst.
 VERDICTS = ("match", "drift", "fail")
@@ -283,144 +270,3 @@ def evaluate_summaries(
         )
     return Scoreboard(verdicts=tuple(verdicts))
 
-
-# -- artifact ------------------------------------------------------------------
-
-
-def _verdict_doc(v: MetricVerdict) -> dict[str, Any]:
-    return {
-        "experiment": v.experiment,
-        "metric": v.metric,
-        "verdict": v.verdict,
-        "expected": v.expected,
-        "actual": v.actual,
-        "op": v.op,
-        "tolerance": v.tolerance,
-        "detail": v.detail,
-        "source": v.source,
-        "note": v.note,
-    }
-
-
-def build_fidelity_artifact(
-    scoreboard: Scoreboard,
-    *,
-    git_sha: str | None = None,
-    created_utc: str | None = None,
-    extra: Mapping[str, Any] | None = None,
-) -> dict[str, Any]:
-    """Assemble the ``repro.fidelity/v1`` artifact document."""
-    # Imported lazily for the same circularity reason as export._model_version.
-    from .. import __version__
-
-    inputs = {
-        "experiments": scoreboard.experiments,
-        "metrics": [f"{v.experiment}.{v.metric}" for v in scoreboard.verdicts],
-    }
-    doc: dict[str, Any] = {
-        "schema": FIDELITY_SCHEMA,
-        "created_utc": created_utc
-        or datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "git_sha": git_sha if git_sha is not None else detect_git_sha(),
-        "model_version": __version__,
-        "environment": environment_fingerprint(),
-        "inputs_hash": inputs_hash(inputs),
-        "overall": scoreboard.overall,
-        "counts": scoreboard.counts,
-        "verdicts": [_verdict_doc(v) for v in scoreboard.verdicts],
-    }
-    if extra:
-        doc.update(dict(extra))
-    return doc
-
-
-def validate_fidelity_artifact(doc: Mapping[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``doc`` is a well-formed fidelity artifact."""
-    if not isinstance(doc, Mapping):
-        raise ValueError("fidelity artifact must be a JSON object")
-    schema = doc.get("schema")
-    if schema != FIDELITY_SCHEMA:
-        raise ValueError(f"unexpected schema {schema!r} (want {FIDELITY_SCHEMA!r})")
-    for key in ("created_utc", "git_sha", "environment", "overall", "verdicts"):
-        if key not in doc:
-            raise ValueError(f"fidelity artifact missing {key!r}")
-    if doc["overall"] not in VERDICTS:
-        raise ValueError(f"unknown overall verdict {doc['overall']!r}")
-    if not isinstance(doc["verdicts"], list):
-        raise ValueError("fidelity artifact 'verdicts' must be a list")
-    for entry in doc["verdicts"]:
-        for key in ("experiment", "metric", "verdict", "expected"):
-            if key not in entry:
-                raise ValueError(f"verdict entry missing {key!r}: {entry}")
-        if entry["verdict"] not in VERDICTS:
-            raise ValueError(f"unknown verdict {entry['verdict']!r}")
-
-
-def write_fidelity_artifact(
-    doc: Mapping[str, Any], out_dir: str | Path = "."
-) -> Path:
-    """Write ``doc`` as ``FIDELITY_<YYYYMMDD>_<shortsha>.json`` (append-only)."""
-    validate_fidelity_artifact(doc)
-    day = str(doc["created_utc"])[:10].replace("-", "")
-    path = append_only_artifact_path(out_dir, f"FIDELITY_{day}_{doc['git_sha']}")
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
-    return path
-
-
-def load_fidelity_artifact(path: str | Path) -> dict[str, Any]:
-    """Load and validate a ``FIDELITY_*.json`` artifact."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise FileNotFoundError(f"no such fidelity artifact: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON in {path}: {exc}") from exc
-    try:
-        validate_fidelity_artifact(doc)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return doc
-
-
-# -- rendering -----------------------------------------------------------------
-
-
-def _fmt(value: Any) -> str:
-    if isinstance(value, bool) or value is None:
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.4g}"
-    return str(value)
-
-
-def scoreboard_table(scoreboard: Scoreboard) -> str:
-    """Human-readable scoreboard plus a one-line summary."""
-    rows = [
-        (
-            v.experiment,
-            v.metric,
-            _fmt(v.expected),
-            _fmt(v.actual),
-            v.op,
-            v.verdict.upper() if v.verdict == "fail" else v.verdict,
-        )
-        for v in scoreboard.verdicts
-    ]
-    headers = ("experiment", "metric", "expected", "actual", "op", "verdict")
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
-    counts = scoreboard.counts
-    lines.append("")
-    lines.append(
-        f"fidelity: {scoreboard.overall} "
-        f"({counts['match']} match, {counts['drift']} drift, "
-        f"{counts['fail']} fail over {len(scoreboard.experiments)} experiments)"
-    )
-    return "\n".join(lines)

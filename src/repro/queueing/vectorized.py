@@ -187,11 +187,30 @@ def _erlang_b_scalar(n: int, rho: float) -> float:
     return b
 
 
+def _unsolvable(rho: float, blocking_target: float) -> RuntimeError:
+    return RuntimeError(
+        f"min_servers did not converge below {blocking_target} "
+        f"within {_MAX_SERVERS} servers (rho={rho})"
+    )
+
+
+def _beyond_cap(rho, blocking_target):
+    """Whether no ``n`` under the cap can meet the target (elementwise).
+
+    The carried load ``rho * (1 - B(n, rho))`` never exceeds ``n``, so
+    ``B(n, rho) <= target`` needs ``n >= rho * (1 - target)``: when that
+    bound passes the cap the scan would only spin up to it and fail.
+    """
+    return rho * (1.0 - blocking_target) > _MAX_SERVERS + 1
+
+
 def _min_servers_scalar(rho: float, blocking_target: float) -> int:
     _validate_target(blocking_target)
     _validate_load(rho)
     if rho == 0.0:
         return 0
+    if _beyond_cap(rho, blocking_target):
+        raise _unsolvable(rho, blocking_target)
     registry = get_registry()
     t0 = perf_counter() if registry.enabled else 0.0
     b = 1.0  # E_0(rho) = 1 for rho > 0
@@ -200,10 +219,7 @@ def _min_servers_scalar(rho: float, blocking_target: float) -> int:
         n += 1
         b = rho * b / (n + rho * b)
         if n > _MAX_SERVERS:  # pragma: no cover - defensive
-            raise RuntimeError(
-                f"min_servers did not converge below {blocking_target} "
-                f"within {_MAX_SERVERS} servers (rho={rho})"
-            )
+            raise _unsolvable(rho, blocking_target)
     if registry.enabled:
         _record_inversion(registry, "recurrence", n, perf_counter() - t0)
     return n
@@ -274,6 +290,10 @@ def _min_servers_array(rho: np.ndarray, target: np.ndarray) -> np.ndarray:
     the target, so total arithmetic equals the scalar path's but executes
     as a handful of numpy ops per step.
     """
+    hopeless = _beyond_cap(rho, target)
+    if hopeless.any():
+        k = int(np.argmax(hopeless))
+        raise _unsolvable(float(rho[k]), float(target[k]))
     registry = get_registry()
     t0 = perf_counter() if registry.enabled else 0.0
     out = np.zeros(rho.shape, dtype=np.int64)
@@ -470,6 +490,8 @@ def min_servers_continuous(rho: float, blocking_target: float) -> int:
     _validate_load(rho)
     if rho == 0.0:
         return 0
+    if _beyond_cap(rho, blocking_target):
+        raise _unsolvable(rho, blocking_target)
     registry = get_registry()
     t0 = perf_counter() if registry.enabled else 0.0
     evaluations = 0

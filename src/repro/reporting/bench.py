@@ -16,13 +16,14 @@ one commit's timings against another's.  This module closes that loop:
   batch of calls sized to ``min_sample_s`` and reports the per-call
   average, which is what keeps sub-millisecond benchmarks comparable on
   noisy shared machines;
-- :func:`build_artifact` / :func:`write_artifact` produce the
-  ``BENCH_<YYYYMMDD>_<shortsha>.json`` document (schema ``repro.bench/v1``)
-  that :mod:`repro.obs.compare` consumes.
+- :func:`build_artifact` assembles the ``BENCH_<YYYYMMDD>_<shortsha>.json``
+  document (schema ``repro.bench/v1``) that :mod:`repro.reporting.compare`
+  consumes; :data:`BENCH` validates, writes and loads it through the one
+  artifact codec (:mod:`repro.reporting.artifacts`).
 
 Everything is stdlib-only; numpy is touched only indirectly by the
 benchmarks themselves.  The ``repro-bench`` CLI front end lives in
-:mod:`repro.obs.benchcli`.
+:mod:`repro.reporting.benchcli`.
 """
 
 from __future__ import annotations
@@ -34,18 +35,18 @@ import statistics
 import sys
 import tracemalloc
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from fnmatch import fnmatch
 from functools import partial
 from pathlib import Path
 from time import perf_counter, process_time
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .envinfo import append_only_artifact_path, detect_git_sha, environment_fingerprint
-from .export import inputs_hash
-from .trace import get_trace
+from ..obs.export import inputs_hash
+from ..obs.trace import get_trace
+from .artifacts import ArtifactKind
 
 __all__ = [
+    "BENCH",
     "BENCH_SCHEMA",
     "BenchSpec",
     "BenchResult",
@@ -54,13 +55,25 @@ __all__ = [
     "select_specs",
     "run_specs",
     "build_artifact",
-    "validate_artifact",
-    "write_artifact",
-    "detect_git_sha",
-    "percentile",
+    "merge_artifacts",
 ]
 
 BENCH_SCHEMA = "repro.bench/v1"
+
+
+def _check_benchmarks(doc: Mapping[str, Any]) -> None:
+    if not isinstance(doc["benchmarks"], list):
+        raise ValueError("bench artifact 'benchmarks' must be a list")
+    for entry in doc["benchmarks"]:
+        for key in ("name", "ok", "wall_s", "cpu_s"):
+            if key not in entry:
+                raise ValueError(f"benchmark entry missing {key!r}: {entry}")
+
+
+#: The ``BENCH_*.json`` artifact family.
+BENCH = ArtifactKind(
+    "bench", BENCH_SCHEMA, "BENCH", ("benchmarks",), _check_benchmarks
+)
 
 #: Default location of the on-disk suite, relative to the repo root.
 DEFAULT_BENCH_DIR = "benchmarks"
@@ -302,23 +315,6 @@ class BenchResult:
         return statistics.median(self.cpu_s) if self.cpu_s else None
 
 
-def percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (inclusive) over pre-sorted values.
-
-    ``q`` is in [0, 100].  Empty input returns ``nan``: no samples, no
-    latency to report (the service SLO tracker and the report's Service
-    section share this one definition).
-    """
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
-    if not sorted_values:
-        return math.nan
-    if q == 0.0:
-        return sorted_values[0]
-    rank = math.ceil(q / 100.0 * len(sorted_values))
-    return sorted_values[rank - 1]
-
-
 def _timing_doc(samples: list[float]) -> dict[str, Any]:
     if not samples:
         return {"repeats": [], "median": None, "min": None, "mean": None}
@@ -447,9 +443,6 @@ def build_artifact(
     created_utc: str | None = None,
 ) -> dict[str, Any]:
     """Assemble the ``repro.bench/v1`` artifact document."""
-    # Imported lazily for the same circularity reason as export._model_version.
-    from .. import __version__
-
     inputs = {
         "selection": list(selection),
         "warmup": warmup,
@@ -457,16 +450,10 @@ def build_artifact(
         "benchmarks": [r.name for r in results],
     }
     return {
-        "schema": BENCH_SCHEMA,
-        "created_utc": created_utc
-        or datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "git_sha": git_sha if git_sha is not None else detect_git_sha(),
-        "model_version": __version__,
-        "environment": environment_fingerprint(),
+        **BENCH.envelope(inputs, git_sha=git_sha, created_utc=created_utc),
         "warmup": warmup,
         "repeats": repeats,
         "selection": list(selection),
-        "inputs_hash": inputs_hash(inputs),
         "benchmarks": [_result_doc(r) for r in results],
     }
 
@@ -489,7 +476,7 @@ def merge_artifacts(docs: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
     if not docs:
         raise ValueError("need at least one artifact to merge")
     for doc in docs:
-        validate_artifact(doc)
+        BENCH.validate(doc)
     first = docs[0]
     names = [e["name"] for e in first["benchmarks"]]
     for doc in docs[1:]:
@@ -543,35 +530,3 @@ def merge_artifacts(docs: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
     )
     return merged
 
-
-def validate_artifact(doc: Mapping[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``doc`` is a well-formed bench artifact."""
-    if not isinstance(doc, Mapping):
-        raise ValueError("bench artifact must be a JSON object")
-    schema = doc.get("schema")
-    if schema != BENCH_SCHEMA:
-        raise ValueError(f"unexpected schema {schema!r} (want {BENCH_SCHEMA!r})")
-    for key in ("created_utc", "git_sha", "environment", "benchmarks", "inputs_hash"):
-        if key not in doc:
-            raise ValueError(f"bench artifact missing {key!r}")
-    if not isinstance(doc["benchmarks"], list):
-        raise ValueError("bench artifact 'benchmarks' must be a list")
-    for entry in doc["benchmarks"]:
-        for key in ("name", "ok", "wall_s", "cpu_s"):
-            if key not in entry:
-                raise ValueError(f"benchmark entry missing {key!r}: {entry}")
-
-
-def write_artifact(doc: Mapping[str, Any], out_dir: str | Path = ".") -> Path:
-    """Write ``doc`` as ``BENCH_<YYYYMMDD>_<shortsha>.json`` under ``out_dir``.
-
-    A same-day same-commit rerun gets a ``_2``/``_3``… suffix rather than
-    overwriting the earlier artifact — trajectory points are append-only.
-    """
-    import json
-
-    validate_artifact(doc)
-    day = str(doc["created_utc"])[:10].replace("-", "")
-    path = append_only_artifact_path(out_dir, f"BENCH_{day}_{doc['git_sha']}")
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
-    return path

@@ -12,7 +12,7 @@ Subcommands:
   keeping the vectorized Erlang kernel >= 10x the scalar loop.
 
 ``run`` executes the on-disk pytest-benchmark suites (``benchmarks/``) via
-the fixture adapter in :mod:`repro.obs.bench`, the only place a benchmark
+the fixture adapter in :mod:`repro.reporting.bench`, the only place a benchmark
 is registered; ``--select`` filters by fnmatch against benchmark name or
 group (e.g. ``--select 'bench_table1_model*'``); when every pattern has a
 ``module::`` prefix only the matching modules are imported, and a module
@@ -32,15 +32,15 @@ from pathlib import Path
 from typing import Sequence
 
 from .bench import (
+    BENCH,
     BenchResult,
     build_artifact,
     discover_suite,
     merge_artifacts,
     run_specs,
     select_specs,
-    write_artifact,
 )
-from .compare import compare_artifacts, fmt_seconds, load_artifact, verdict_table
+from .compare import compare_artifacts, fmt_seconds, verdict_table
 
 __all__ = ["main"]
 
@@ -99,7 +99,7 @@ def _cmd_run(args) -> int:
         selection=args.select or [],
     )
     try:
-        path = write_artifact(artifact, args.out)
+        path = BENCH.write(artifact, args.out)
     except OSError as exc:
         print(f"error: cannot write bench artifact under {args.out}: {exc}", file=sys.stderr)
         return 1
@@ -117,7 +117,7 @@ def _cmd_run(args) -> int:
 
 def _load(path: str):
     try:
-        return load_artifact(path)
+        return BENCH.load(path)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None

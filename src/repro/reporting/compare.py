@@ -19,20 +19,15 @@ those too.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Mapping
-
-from .bench import validate_artifact
 
 __all__ = [
     "BenchDelta",
     "Comparison",
     "compare_artifacts",
     "fmt_seconds",
-    "load_artifact",
     "verdict_table",
 ]
 
@@ -97,22 +92,6 @@ class Comparison:
                 for d in self.deltas
             ],
         }
-
-
-def load_artifact(path: str | Path) -> dict[str, Any]:
-    """Load and validate a ``BENCH_*.json`` artifact."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise FileNotFoundError(f"no such bench artifact: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON in {path}: {exc}") from exc
-    try:
-        validate_artifact(doc)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return doc
 
 
 def _median(entry: Mapping[str, Any], metric: str) -> float | None:

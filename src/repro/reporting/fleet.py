@@ -2,7 +2,7 @@
 
 The paper's deliverable is a *decision*: dedicated vs. consolidated
 deployment, judged on servers, power, and loss probability.  This module
-turns the per-run artifacts indexed by :mod:`repro.obs.ledger` into that
+turns the per-run artifacts indexed by :mod:`repro.reporting.ledger` into that
 decision at fleet scale — projecting the metered Group-2 power figures
 (Figs. 12/13) and the analytic plan (Table I utilizations through the
 Eq. 12–14 linear power model) over an audit horizon, and pricing the
@@ -20,30 +20,25 @@ Three scenarios are compared:
   measured Xen platform effects.
 
 The aggregate serialises as an append-only, schema-versioned
-``FLEET_<date>_<sha>.json`` artifact (``repro.fleet/v1``), the
+``FLEET_<date>_<sha>.json`` artifact (``repro.fleet/v1``, read and
+written through :data:`FLEET`), the
 machine-readable companion of the HTML run report, whose executive
 summary, audit assumptions and run ledger sections render it
-(:mod:`repro.obs.report`).
+(:mod:`repro.reporting.report`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from pathlib import Path
 from typing import Any, Mapping
 
-from .envinfo import (
-    append_only_artifact_path,
-    detect_git_sha,
-    environment_fingerprint,
-)
-from .export import inputs_hash
+from ..core.power import ServerPowerModel
+from ..obs.trace import get_trace
+from .artifacts import ArtifactKind
 from .ledger import RunLedger
-from .trace import get_trace
 
 __all__ = [
+    "FLEET",
     "FLEET_SCHEMA",
     "HOURS_PER_YEAR",
     "AuditAssumptions",
@@ -54,12 +49,33 @@ __all__ = [
     "bench_trend",
     "build_fleet_summary",
     "build_fleet_artifact",
-    "validate_fleet_artifact",
-    "write_fleet_artifact",
-    "load_fleet_artifact",
 ]
 
 FLEET_SCHEMA = "repro.fleet/v1"
+
+
+def _check_scenarios(doc: Mapping[str, Any]) -> None:
+    if not isinstance(doc["scenarios"], Mapping):
+        raise ValueError("fleet artifact 'scenarios' must be an object")
+    for name, scenario in doc["scenarios"].items():
+        for key in ("servers", "mean_power_w", "energy_kwh", "total_cost_usd",
+                    "carbon_kg"):
+            if key not in scenario:
+                raise ValueError(f"scenario {name!r} missing {key!r}")
+    assumptions = doc["assumptions"]
+    for key in ("price_usd_per_kwh", "carbon_g_per_kwh", "server_capex_usd"):
+        if key not in assumptions:
+            raise ValueError(f"fleet artifact assumptions missing {key!r}")
+
+
+#: The ``FLEET_*.json`` artifact family.
+FLEET = ArtifactKind(
+    "fleet",
+    FLEET_SCHEMA,
+    "FLEET",
+    ("assumptions", "scenarios", "deltas", "decision", "ledger"),
+    _check_scenarios,
+)
 
 #: Mean Gregorian year — the default audit horizon.
 HOURS_PER_YEAR = 8766.0
@@ -249,10 +265,6 @@ def _projected_scenario(
             "projected (analytic) fleet omitted"
         )
         return None
-    # Imported lazily: repro/__init__ imports repro.obs, so a module-level
-    # import of the model layer here would be circular.
-    from ..core.power import ServerPowerModel
-
     model = ServerPowerModel()
     return _price_scenario(
         "projected",
@@ -463,17 +475,9 @@ def build_fleet_artifact(
     assumptions — so two reports over the same runs share a hash and
     differ visibly in their ``assumptions`` block.
     """
-    from .. import __version__
-
     run_ids = sorted(e.run_id for e in ledger.entries)
     doc: dict[str, Any] = {
-        "schema": FLEET_SCHEMA,
-        "created_utc": created_utc
-        or datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "git_sha": git_sha if git_sha is not None else detect_git_sha(),
-        "model_version": __version__,
-        "environment": environment_fingerprint(),
-        "inputs_hash": inputs_hash({"runs": run_ids}),
+        **FLEET.envelope({"runs": run_ids}, git_sha=git_sha, created_utc=created_utc),
         "ledger": {
             "directories": list(ledger.directories),
             "counts": ledger.counts(),
@@ -486,60 +490,3 @@ def build_fleet_artifact(
     doc.update(dict(summary))
     return doc
 
-
-def validate_fleet_artifact(doc: Mapping[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``doc`` is a well-formed fleet artifact."""
-    if not isinstance(doc, Mapping):
-        raise ValueError("fleet artifact must be a JSON object")
-    schema = doc.get("schema")
-    if schema != FLEET_SCHEMA:
-        raise ValueError(f"unexpected schema {schema!r} (want {FLEET_SCHEMA!r})")
-    for key in (
-        "created_utc",
-        "git_sha",
-        "environment",
-        "inputs_hash",
-        "assumptions",
-        "scenarios",
-        "deltas",
-        "decision",
-        "ledger",
-    ):
-        if key not in doc:
-            raise ValueError(f"fleet artifact missing {key!r}")
-    if not isinstance(doc["scenarios"], Mapping):
-        raise ValueError("fleet artifact 'scenarios' must be an object")
-    for name, scenario in doc["scenarios"].items():
-        for key in ("servers", "mean_power_w", "energy_kwh", "total_cost_usd",
-                    "carbon_kg"):
-            if key not in scenario:
-                raise ValueError(f"scenario {name!r} missing {key!r}")
-    assumptions = doc["assumptions"]
-    for key in ("price_usd_per_kwh", "carbon_g_per_kwh", "server_capex_usd"):
-        if key not in assumptions:
-            raise ValueError(f"fleet artifact assumptions missing {key!r}")
-
-
-def write_fleet_artifact(doc: Mapping[str, Any], out_dir: str | Path = ".") -> Path:
-    """Write ``doc`` as ``FLEET_<YYYYMMDD>_<shortsha>.json`` (append-only)."""
-    validate_fleet_artifact(doc)
-    day = str(doc["created_utc"])[:10].replace("-", "")
-    path = append_only_artifact_path(out_dir, f"FLEET_{day}_{doc['git_sha']}")
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
-    return path
-
-
-def load_fleet_artifact(path: str | Path) -> dict[str, Any]:
-    """Load and validate a ``FLEET_*.json`` artifact."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise FileNotFoundError(f"no such fleet artifact: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON in {path}: {exc}") from exc
-    try:
-        validate_fleet_artifact(doc)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return doc

@@ -1,6 +1,6 @@
 """Building blocks for the self-contained HTML report.
 
-The report (:mod:`repro.obs.report`) is dependency-free HTML: no
+The report (:mod:`repro.reporting.report`) is dependency-free HTML: no
 JavaScript, no external assets, figures as inline SVG.  This module holds
 its pieces (stylesheet, escaping, number formatting, tables, badges,
 sparklines, the page shell) so every section looks the same and the

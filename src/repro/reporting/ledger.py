@@ -7,8 +7,10 @@ result summaries, and JSONL event traces.  This module turns a pile of
 those files (``results/``, ``benchmarks/baselines/``, CI artifact dumps…)
 into one typed index — the *run ledger* — keyed by experiment, seed, and
 environment fingerprint (via :mod:`repro.obs.envinfo`), which the fleet
-aggregator (:mod:`repro.obs.fleet`) and the run report
-(:mod:`repro.obs.report`, the only consumer of on-disk discovery) read.
+aggregator (:mod:`repro.reporting.fleet`) and the run report
+(:mod:`repro.reporting.report`, the only consumer of on-disk discovery)
+read.  BENCH and FIDELITY files are checked by the same codec that writes
+them (:mod:`repro.reporting.artifacts`).
 
 Robustness contract: indexing never raises on artifact content.  Truncated
 JSON, schema-version mismatches, duplicate run ids, and foreign files are
@@ -26,11 +28,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .bench import BENCH_SCHEMA, validate_artifact
-from .envinfo import FINGERPRINT_KEYS
-from .export import MANIFEST_SCHEMA
-from .fidelity import FIDELITY_SCHEMA, validate_fidelity_artifact
-from .trace import get_trace
+from ..obs.envinfo import FINGERPRINT_KEYS
+from ..obs.export import MANIFEST_SCHEMA
+from ..obs.trace import get_trace
+from .bench import BENCH
+from .fidelity import FIDELITY
 
 __all__ = [
     "LEDGER_KINDS",
@@ -44,6 +46,10 @@ __all__ = [
 
 #: Artifact families the ledger indexes, in the order they are reported.
 LEDGER_KINDS = ("manifest", "result", "bench", "fidelity", "trace")
+
+#: Codec artifact families the ledger ingests; each label is its ledger
+#: kind.  FLEET artifacts are the report's own output, never re-ingested.
+_ARTIFACTS = (BENCH, FIDELITY)
 
 
 def fingerprint_key(env: Mapping[str, Any] | None) -> str | None:
@@ -253,45 +259,25 @@ def _classify(path: Path) -> tuple[LedgerEntry | None, str | None]:
             doc=doc,
         )
         return entry, None
-    if name.startswith("BENCH_") or schema == BENCH_SCHEMA:
+    for artifact in _ARTIFACTS:
+        if not (name.startswith(f"{artifact.prefix}_") or schema == artifact.schema):
+            continue
         try:
-            validate_artifact(doc)
+            artifact.validate(doc)
         except ValueError as exc:
             return None, f"schema-version mismatch: {exc}"
-        entry = LedgerEntry(
-            run_id=(
-                f"bench:{doc.get('created_utc')}:{doc.get('git_sha')}:"
-                f"{str(doc.get('inputs_hash', ''))[:8]}:{_digest(doc, 8)}"
-            ),
-            kind="bench",
-            path=str(path),
-            created_utc=str(doc.get("created_utc")),
-            seed=None,
-            experiment=None,
-            env_key=fingerprint_key(doc.get("environment")),
-            doc=doc,
-        )
-        return entry, None
-    if name.startswith("FIDELITY_") or schema == FIDELITY_SCHEMA:
-        try:
-            validate_fidelity_artifact(doc)
-        except ValueError as exc:
-            return None, f"schema-version mismatch: {exc}"
-        seed = None
         inputs = doc.get("inputs")
-        if isinstance(inputs, Mapping):
-            seed = _to_int(inputs.get("seed"))
         entry = LedgerEntry(
             run_id=(
-                f"fidelity:{doc.get('created_utc')}:{doc.get('git_sha')}:"
+                f"{artifact.label}:{doc['created_utc']}:{doc['git_sha']}:"
                 f"{_digest(doc, 8)}"
             ),
-            kind="fidelity",
+            kind=artifact.label,
             path=str(path),
-            created_utc=str(doc.get("created_utc")),
-            seed=seed,
+            created_utc=str(doc["created_utc"]),
+            seed=_to_int(inputs.get("seed")) if isinstance(inputs, Mapping) else None,
             experiment=None,
-            env_key=fingerprint_key(doc.get("environment")),
+            env_key=fingerprint_key(doc["environment"]),
             doc=doc,
         )
         return entry, None

@@ -4,7 +4,7 @@
 manifest and its metric snapshot, a JSONL trace, telemetry timelines, a
 service access log, ``BENCH_*.json`` trajectory points, ``FIDELITY_*.json``
 scoreboards, experiment summaries — together with the fleet audit priced
-from them (:mod:`repro.obs.fleet`) into **one** ``report.html``:
+from them (:mod:`repro.reporting.fleet`) into **one** ``report.html``:
 dependency-free, no JavaScript, no external assets, figures as inline SVG
 sparklines.  It answers, on open: which fleet should run (dedicated or
 consolidated, in servers, kWh, $ and CO2), did this run reproduce the
@@ -13,11 +13,11 @@ paper, how fast was it, what did it execute, and on which machine?
 Entry points:
 
 - :func:`render_report` — pure renderer over already-loaded documents;
-- :func:`write_ledger_report` — a run ledger (:mod:`repro.obs.ledger`)
+- :func:`write_ledger_report` — a run ledger (:mod:`repro.reporting.ledger`)
   plus any per-run documents -> ``report.html`` and its machine-readable
   ``FLEET_*.json`` companion;
-- :func:`main` — the ``repro-report`` CLI, which discovers on-disk
-  artifacts through the run ledger without re-running anything;
+- ``repro-report`` (:mod:`repro.reporting.reportcli`), which discovers
+  on-disk artifacts through the run ledger without re-running anything;
 - ``repro-experiments --report-out FILE`` builds the same report from the
   live run (see :mod:`repro.experiments.runner`).
 """
@@ -31,20 +31,20 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .bench import percentile
-from .compare import compare_artifacts, load_artifact
-from .fidelity import (
-    build_fidelity_artifact,
-    evaluate_summaries,
-    load_fidelity_artifact,
-)
+from .. import experiments  # noqa: F401  (declares every fidelity expectation)
+from ..obs.fidelity import evaluate_summaries
+from ..obs.timeseries import TIMESERIES_SCHEMA
+from ..service.slo import percentile
+from .bench import BENCH
+from .compare import compare_artifacts
+from .fidelity import build_fidelity_artifact
 from .fleet import (
+    FLEET,
     AuditAssumptions,
     bench_trend,
     build_fleet_artifact,
     build_fleet_summary,
     per_experiment_fidelity,
-    write_fleet_artifact,
 )
 from .htmlutil import badge as _badge
 from .htmlutil import esc as _esc
@@ -56,8 +56,7 @@ from .htmlutil import page as _page
 from .htmlutil import sparkline as _sparkline
 from .htmlutil import table as _table
 from .htmlutil import timeline_chart as _timeline_chart
-from .ledger import RunLedger, build_ledger
-from .timeseries import TIMESERIES_SCHEMA, load_timeseries_jsonl
+from .ledger import RunLedger
 
 __all__ = [
     "BENCH_BASELINE",
@@ -65,7 +64,6 @@ __all__ = [
     "render_report",
     "write_ledger_report",
     "write_report",
-    "main",
 ]
 
 #: Committed bench baseline the newest BENCH artifact is compared against.
@@ -815,9 +813,6 @@ def _ledger_fidelity(ledger: RunLedger) -> dict[str, Any] | None:
         return docs[-1]
     if not ledger.results:
         return None
-    # Importing the experiment registry pulls in every declaration.
-    from ..experiments import runner as _runner  # noqa: F401
-
     scoreboard = evaluate_summaries(ledger.summaries())
     return build_fidelity_artifact(scoreboard) if scoreboard.verdicts else None
 
@@ -847,7 +842,7 @@ def write_ledger_report(
     if bench_docs and Path(baseline).is_file():
         try:
             bench_comparison = compare_artifacts(
-                load_artifact(baseline), bench_docs[-1]
+                BENCH.load(baseline), bench_docs[-1]
             ).to_doc()
         except ValueError as exc:
             print(f"warning: bench comparison skipped: {exc}", file=sys.stderr)
@@ -864,222 +859,5 @@ def write_ledger_report(
         ),
         out,
     )
-    return path, write_fleet_artifact(fleet, path.parent), fleet
+    return path, FLEET.write(fleet, path.parent), fleet
 
-
-def _load_json(path: Path) -> dict[str, Any] | None:
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    return doc if isinstance(doc, dict) else None
-
-
-def _load_trace_events(path: Path) -> list[dict[str, Any]]:
-    events = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(doc, dict):
-            events.append(doc)
-    return events
-
-
-def _error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """``repro-report`` — assemble ``report.html`` from on-disk artifacts."""
-    parser = argparse.ArgumentParser(
-        prog="repro-report",
-        description="Fuse the fleet decision (dedicated vs consolidated, "
-        "priced in servers, kWh, $ and CO2), fidelity scoreboard, run "
-        "manifest, metrics, trace, telemetry, BENCH trend and experiment "
-        "summaries into one self-contained HTML report plus a FLEET_*.json "
-        "companion — without re-running any experiment.",
-    )
-    parser.add_argument(
-        "--results",
-        default="results/full",
-        metavar="DIR",
-        help="results directory holding <id>.json experiment artifacts "
-        "(default: results/full)",
-    )
-    parser.add_argument(
-        "--scan",
-        action="append",
-        metavar="DIR",
-        help="further directories the run ledger indexes recursively after "
-        "--results, for BENCH trend points and fleet audit inputs "
-        "(repeatable; default: benchmarks/baselines)",
-    )
-    parser.add_argument(
-        "--manifest",
-        metavar="FILE",
-        help="run manifest (default: <results>/run_manifest.json when present)",
-    )
-    parser.add_argument(
-        "--trace", metavar="FILE", help="JSONL event trace to summarise"
-    )
-    parser.add_argument(
-        "--timeseries",
-        metavar="FILE",
-        help="repro.timeseries/v1 JSONL artifact to render as timeline "
-        "charts (default: <results>/timeseries.jsonl, else any *.jsonl "
-        "under <results> carrying the schema; the section is simply "
-        "omitted when none exists)",
-    )
-    parser.add_argument(
-        "--access-log",
-        metavar="FILE",
-        help="repro.access/v1 JSONL written by repro-serve to render as the "
-        "Service section (default: <results>/access.jsonl when present; "
-        "the section is omitted when none exists)",
-    )
-    parser.add_argument(
-        "--fidelity",
-        metavar="FILE",
-        help="FIDELITY_*.json to show (default: the newest one indexed, "
-        "else evaluate declared expectations against the indexed results)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="bench baseline artifact to compare the newest BENCH_*.json "
-        f"against (default: {BENCH_BASELINE} when present)",
-    )
-    add_assumption_arguments(parser)
-    parser.add_argument("--title", default="repro run report")
-    parser.add_argument(
-        "--out",
-        default="report.html",
-        metavar="FILE",
-        help="output HTML path; FLEET_*.json lands in the same directory",
-    )
-    args = parser.parse_args(argv)
-
-    try:
-        assumptions = AuditAssumptions.from_mapping(vars(args))
-    except ValueError as exc:
-        return _error(str(exc))
-    results_dir = Path(args.results)
-    if not results_dir.is_dir():
-        return _error(f"results directory not found: {results_dir}")
-    if args.baseline and not Path(args.baseline).is_file():
-        return _error(f"no such baseline: {args.baseline}")
-
-    ledger = build_ledger([results_dir, *(args.scan or [BENCH_BASELINE.parent])])
-    # The results directory is this report's subject, so unlike the rest of
-    # the ledger it must not silently lose a corrupt file.
-    for skip in ledger.skipped:
-        if Path(skip.path).parent == results_dir and skip.reason.startswith(
-            ("truncated", "unreadable")
-        ):
-            return _error(f"unreadable results artifact {skip.path}: {skip.reason}")
-    own = [e for e in ledger.entries if Path(e.path).parent == results_dir]
-    results = [dict(e.doc) for e in own if e.kind == "result"]
-
-    if args.manifest:
-        manifest = _load_json(Path(args.manifest))
-        if manifest is None:
-            return _error(f"missing or unreadable manifest: {args.manifest}")
-    else:
-        manifest = next(
-            (dict(e.doc) for e in own if Path(e.path).name == "run_manifest.json"),
-            None,
-        )
-
-    # An explicit service access log is renderable on its own (a
-    # discovered one is already among the indexed artifacts).
-    if not own and not args.access_log:
-        return _error(
-            f"no run artifacts under {results_dir} — run "
-            f"'repro-experiments --output {results_dir}' first"
-        )
-
-    trace_events = None
-    if args.trace:
-        trace_path = Path(args.trace)
-        if not trace_path.exists():
-            return _error(f"no such trace: {trace_path}")
-        trace_events = _load_trace_events(trace_path)
-
-    timeseries_docs = None
-    if args.timeseries:
-        try:
-            series_docs, alarm_docs = load_timeseries_jsonl(args.timeseries)
-        except (OSError, ValueError) as exc:
-            return _error(f"unreadable timeseries artifact: {exc}")
-        timeseries_docs = series_docs + alarm_docs
-    else:
-        # Prefer the conventional name, then accept any indexed JSONL in
-        # the results directory carrying the v1 schema.  Absence is fine —
-        # the report simply has no timeline section.
-        candidates = sorted(
-            (Path(e.path) for e in own if e.kind == "trace"),
-            key=lambda p: p.name != "timeseries.jsonl",
-        )
-        for candidate in candidates:
-            try:
-                series_docs, alarm_docs = load_timeseries_jsonl(candidate)
-            except (OSError, ValueError):
-                continue  # foreign JSONL (e.g. a trace export): skip
-            if series_docs or alarm_docs:
-                timeseries_docs = series_docs + alarm_docs
-                break
-
-    # Imported lazily: repro.obs.__init__ imports this module, and
-    # repro.service's package import reaches repro.core, whose model
-    # imports get_registry from the half-initialised repro.obs — a
-    # top-level import would be circular.
-    from ..service.accesslog import load_access_log
-
-    access_docs = None
-    access_path = Path(args.access_log or results_dir / "access.jsonl")
-    if args.access_log or access_path.is_file():
-        try:
-            access_docs = load_access_log(access_path)
-        except (OSError, ValueError) as exc:
-            if args.access_log:
-                return _error(f"unreadable access log: {exc}")
-            # a foreign or truncated discovered file: no section
-
-    fidelity_doc = None
-    if args.fidelity:
-        try:
-            fidelity_doc = load_fidelity_artifact(args.fidelity)
-        except (FileNotFoundError, ValueError) as exc:
-            return _error(str(exc))
-
-    try:
-        path, fleet_path, fleet = write_ledger_report(
-            ledger,
-            args.out,
-            assumptions=assumptions,
-            fidelity_doc=fidelity_doc,
-            baseline=args.baseline or BENCH_BASELINE,
-            title=args.title,
-            manifest=manifest,
-            trace_events=trace_events,
-            timeseries_docs=timeseries_docs,
-            access_docs=access_docs,
-            results=results,
-        )
-    except OSError as exc:
-        print(f"error: cannot write report to {args.out}: {exc}", file=sys.stderr)
-        return 1
-    print(f"report: {path}")
-    print(f"fleet artifact: {fleet_path}")
-    print(fleet["decision"]["headline"])
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -13,12 +13,13 @@ paced load against fresh servers.
 
 Layering: :mod:`.app` is the socket-free request core (unit-testable by
 direct invocation), :mod:`.server` the ``http.server`` adapter and CLI,
-and :mod:`.slo` and :mod:`.accesslog` the operational state.
+and :mod:`.slo` and :mod:`.accesslog` the operational state.  The package
+does not import :mod:`.server`: it is an entry point, imported only by
+``python -m repro.service`` and the ``repro-serve`` script.
 """
 
 from .accesslog import ACCESS_SCHEMA, AccessLog, NullAccessLog, load_access_log
 from .app import JSON_CONTENT_TYPE, PlannerApp, Response
-from .server import PlannerServer
 from .slo import SLOTracker, percentile
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "JSON_CONTENT_TYPE",
     "PlannerApp",
     "Response",
-    "PlannerServer",
     "SLOTracker",
     "percentile",
 ]

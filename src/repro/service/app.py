@@ -38,7 +38,13 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from ..core.plan import DeploymentError, build_report, parse_deployment, report_json
+from ..core.plan import (
+    DeploymentError,
+    build_report,
+    load_model_of,
+    parse_deployment,
+    report_json,
+)
 from ..obs.export import PROMETHEUS_CONTENT_TYPE, prometheus_text
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import TraceLog
@@ -271,7 +277,7 @@ class PlannerApp:
             return _error_response(400, f"request body is not valid JSON: {exc}", request_id)
         try:
             inputs, targets, planner = parse_deployment(doc)
-            load_model = doc.get("load_model", "paper")
+            load_model = load_model_of(doc)
             report = build_report(inputs, planner, load_model)
             out = report_json(report, inputs, targets, load_model)
         except DeploymentError as exc:

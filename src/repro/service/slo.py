@@ -26,13 +26,29 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from typing import Any
+from typing import Any, Sequence
 
 from ..obs.alarms import AlarmEvent, AlarmManager, AlarmRule, AlarmState
-from ..obs.bench import percentile
 from ..obs.timeseries import TelemetryBus
 
 __all__ = ["SLOTracker", "percentile"]
+
+
+def percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (inclusive) over pre-sorted values.
+
+    ``q`` is in [0, 100].  Empty input returns ``nan``: no samples, no
+    latency to report (the SLO tracker and the report's Service section
+    share this one definition).
+    """
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    if not sorted_values:
+        return math.nan
+    if q == 0.0:
+        return sorted_values[0]
+    rank = math.ceil(q / 100.0 * len(sorted_values))
+    return sorted_values[rank - 1]
 
 
 class SLOTracker:

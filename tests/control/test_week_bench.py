@@ -8,7 +8,7 @@ contract, like the golden summaries.
 
 from pathlib import Path
 
-from repro.obs.bench import _import_bench_module, discover_suite
+from repro.reporting.bench import _import_bench_module, discover_suite
 
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 NAME = "bench_control_loop::test_week_1000_hosts"

@@ -12,12 +12,19 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.core.plan import DeploymentError, build_report, parse_deployment, report_json
+from repro.core.plan import (
+    DeploymentError,
+    build_report,
+    load_model_of,
+    parse_deployment,
+    report_json,
+)
 from repro.service import PlannerApp
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -79,7 +86,7 @@ MALFORMED = [
 
 def _plan(doc):
     inputs, targets, planner = parse_deployment(doc)
-    load_model = doc.get("load_model", "paper")
+    load_model = load_model_of(doc)
     return report_json(build_report(inputs, planner, load_model), inputs, targets, load_model)
 
 
@@ -136,3 +143,42 @@ def test_python_m_repro_prints_no_traceback(tmp_path):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+def _cli_json(doc, tmp_path, capsys, *flags):
+    path = tmp_path / "deployment.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path), "--json", *flags]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_document_load_model_is_honoured_by_cli_and_service(tmp_path, capsys):
+    doc = _with(["load_model"], "offered")
+    cli = _cli_json(doc, tmp_path, capsys)
+    service = json.loads(PlannerApp().handle("POST", "/plan", json.dumps(doc).encode()).body)
+    assert (cli["load_model"], cli["consolidated_servers"]) == ("offered", 6)
+    assert (service["load_model"], service["consolidated_servers"]) == ("offered", 6)
+
+
+def test_load_model_flag_overrides_the_document(tmp_path, capsys):
+    doc = _with(["load_model"], "offered")
+    out = _cli_json(doc, tmp_path, capsys, "--load-model", "paper")
+    assert (out["load_model"], out["consolidated_servers"]) == ("paper", 4)
+    assert load_model_of(EXAMPLE) == "paper"
+
+
+def test_load_beyond_the_server_cap_fails_fast():
+    # Carried load never exceeds n, so 1e9 Erlangs cannot fit under the
+    # 5e7-server cap: the 400 comes before the scan, not after it.
+    doc = {
+        "loss_probability": 0.01,
+        "services": [{"name": "s", "arrival_rate": 1e9, "service_rates": {"cpu": 1.0}}],
+    }
+    t0 = time.perf_counter()
+    response = PlannerApp().handle("POST", "/plan", json.dumps(doc).encode())
+    assert time.perf_counter() - t0 < 1.0
+    assert response.status == 400
+    assert json.loads(response.body)["error"]["message"] == (
+        "unsolvable deployment: min_servers did not converge below 0.01 "
+        "within 50000000 servers (rho=1000000000.0)"
+    )

@@ -5,14 +5,9 @@ import json
 import pytest
 
 from repro.experiments.runner import main
-from repro.obs import (
-    MANIFEST_SCHEMA,
-    get_registry,
-    get_trace,
-    inputs_hash,
-    load_fidelity_artifact,
-)
+from repro.obs import MANIFEST_SCHEMA, get_registry, get_trace, inputs_hash
 from repro.obs import fidelity as fidelity_mod
+from repro.reporting.fidelity import FIDELITY
 
 
 @pytest.fixture
@@ -177,7 +172,7 @@ class TestFidelity:
         assert "fidelity: match" in captured.out
         artifacts = sorted(out.glob("FIDELITY_*.json"))
         assert len(artifacts) == 1
-        doc = load_fidelity_artifact(artifacts[0])
+        doc = FIDELITY.load(artifacts[0])
         assert doc["overall"] == "match"
         assert doc["inputs"] == {"seed": 2009, "full": False}
         assert {v["experiment"] for v in doc["verdicts"]} == {"table1"}

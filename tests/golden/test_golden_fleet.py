@@ -16,10 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import runner as _runner  # noqa: F401  (registers)
-from repro.experiments.base import get_experiment
-from repro.obs.fleet import AuditAssumptions, build_fleet_summary
-from repro.obs.ledger import build_ledger, ledger_with_live_results
+from repro.experiments import get_experiment
+from repro.reporting.fleet import AuditAssumptions, build_fleet_summary
+from repro.reporting.ledger import build_ledger, ledger_with_live_results
 
 GOLDEN_PATH = Path(__file__).parent / "fleet.json"
 SEED = 2009

@@ -7,26 +7,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import (
+from repro.obs import TraceLog, detect_git_sha, inputs_hash, scoped_trace
+from repro.reporting.bench import (
+    BENCH,
     BENCH_SCHEMA,
-    BenchSpec,
-    TraceLog,
-    build_artifact,
-    compare_artifacts,
-    discover_suite,
-    inputs_hash,
-    run_specs,
-    scoped_trace,
-    select_specs,
-    validate_artifact,
-    write_artifact,
-)
-from repro.obs.bench import (
     CALIBRATION_PROBES,
     BenchmarkProxy,
-    detect_git_sha,
+    BenchSpec,
+    build_artifact,
+    discover_suite,
     merge_artifacts,
+    run_specs,
+    select_specs,
 )
+from repro.reporting.compare import compare_artifacts
 
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
@@ -252,7 +246,7 @@ class TestArtifact:
         doc = build_artifact(
             self._results(), warmup=0, repeats=2, selection=["s*"], git_sha="abc123"
         )
-        validate_artifact(doc)
+        BENCH.validate(doc)
         assert doc["schema"] == BENCH_SCHEMA
         assert doc["git_sha"] == "abc123"
         assert doc["environment"]["python"]
@@ -267,13 +261,13 @@ class TestArtifact:
         doc = build_artifact(self._results(), warmup=0, repeats=2, git_sha="x")
         doc["schema"] = "other/v9"
         with pytest.raises(ValueError, match="schema"):
-            validate_artifact(doc)
+            BENCH.validate(doc)
 
     def test_validate_rejects_missing_fields(self):
         doc = build_artifact(self._results(), warmup=0, repeats=2, git_sha="x")
         del doc["benchmarks"][0]["wall_s"]
         with pytest.raises(ValueError, match="wall_s"):
-            validate_artifact(doc)
+            BENCH.validate(doc)
 
     def test_write_filename_and_collision_suffix(self, tmp_path):
         doc = build_artifact(
@@ -283,8 +277,8 @@ class TestArtifact:
             git_sha="abcdef",
             created_utc="2026-08-06T10:00:00+00:00",
         )
-        first = write_artifact(doc, tmp_path)
-        second = write_artifact(doc, tmp_path)
+        first = BENCH.write(doc, tmp_path)
+        second = BENCH.write(doc, tmp_path)
         assert first.name == "BENCH_20260806_abcdef.json"
         assert second.name == "BENCH_20260806_abcdef_2.json"
         loaded = json.loads(first.read_text())
@@ -308,7 +302,7 @@ class TestMerge:
     def test_pools_repeats_and_recomputes_stats(self):
         a, b = self._artifact(), self._artifact()
         merged = merge_artifacts([a, b])
-        validate_artifact(merged)
+        BENCH.validate(merged)
         entry = merged["benchmarks"][0]
         expected = a["benchmarks"][0]["wall_s"]["repeats"] + (
             b["benchmarks"][0]["wall_s"]["repeats"]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.benchcli import main
+from repro.reporting.benchcli import main
 
 
 @pytest.fixture

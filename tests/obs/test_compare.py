@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from repro.obs import BENCH_SCHEMA, compare_artifacts, load_artifact, verdict_table
+from repro.reporting.bench import BENCH, BENCH_SCHEMA
+from repro.reporting.compare import compare_artifacts, verdict_table
 
 
 def _entry(name, medians, ok=True):
@@ -159,17 +160,17 @@ class TestLoadArtifact:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "BENCH_x.json"
         path.write_text(json.dumps(_artifact([_entry("a", [1.0])])))
-        assert load_artifact(path)["benchmarks"][0]["name"] == "a"
+        assert BENCH.load(path)["benchmarks"][0]["name"] == "a"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no such bench artifact"):
-            load_artifact(tmp_path / "nope.json")
+            BENCH.load(tmp_path / "nope.json")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         with pytest.raises(ValueError, match="invalid JSON"):
-            load_artifact(path)
+            BENCH.load(path)
 
     def test_wrong_schema(self, tmp_path):
         path = tmp_path / "wrong.json"
@@ -177,4 +178,4 @@ class TestLoadArtifact:
         doc["schema"] = "repro.run-manifest/v1"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="unexpected schema"):
-            load_artifact(path)
+            BENCH.load(path)

@@ -6,15 +6,14 @@ from repro.obs import (
     FINGERPRINT_KEYS,
     Expectation,
     Scoreboard,
-    append_only_artifact_path,
-    build_artifact,
-    build_fidelity_artifact,
     build_manifest,
     check_expectations,
     detect_git_sha,
     environment_fingerprint,
 )
-from repro.obs.bench import BenchResult
+from repro.reporting.artifacts import append_only_artifact_path
+from repro.reporting.bench import BenchResult, build_artifact
+from repro.reporting.fidelity import build_fidelity_artifact
 
 
 class TestEnvironmentFingerprint:

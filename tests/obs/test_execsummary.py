@@ -3,15 +3,15 @@
 import json
 
 from repro.obs import build_manifest
-from repro.obs.fleet import (
+from repro.reporting.fleet import (
+    FLEET,
     AuditAssumptions,
     build_fleet_artifact,
     build_fleet_summary,
-    load_fleet_artifact,
-    validate_fleet_artifact,
 )
-from repro.obs.ledger import build_ledger
-from repro.obs.report import main, render_report
+from repro.reporting.ledger import build_ledger
+from repro.reporting.report import render_report
+from repro.reporting.reportcli import main
 
 FIG12 = {
     "dedicated_servers": 8,
@@ -139,7 +139,7 @@ class TestRenderer:
         fleet, _ = _render(_scan(tmp_path))
         path = tmp_path / "FLEET.json"
         path.write_text(json.dumps(fleet))
-        html = render_report(fleet=load_fleet_artifact(path), title="custom title")
+        html = render_report(fleet=FLEET.load(path), title="custom title")
         assert "custom title" in html
         assert "runs hash" in html
         assert "Executive summary" in html
@@ -160,8 +160,8 @@ class TestFleetCli:
         assert "Consolidate:" in captured.out
         fleet_jsons = list(out.parent.glob("FLEET_*.json"))
         assert len(fleet_jsons) == 1
-        doc = load_fleet_artifact(fleet_jsons[0])
-        validate_fleet_artifact(doc)
+        doc = FLEET.load(fleet_jsons[0])
+        FLEET.validate(doc)
         assert doc["decision"]["recommendation"] == "consolidated"
 
     def test_custom_assumptions_flow_into_artifact(self, tmp_path, capsys):
@@ -177,7 +177,7 @@ class TestFleetCli:
         )
         assert rc == 0
         (fleet_json,) = out.parent.glob("FLEET_*.json")
-        doc = load_fleet_artifact(fleet_json)
+        doc = FLEET.load(fleet_json)
         assert doc["assumptions"]["price_usd_per_kwh"] == 0.30
         assert doc["assumptions"]["carbon_g_per_kwh"] == 50.0
         assert "$0.3/kWh" in capsys.readouterr().out

@@ -4,16 +4,16 @@ import pytest
 
 from repro.obs import fidelity
 from repro.obs.fidelity import (
-    FIDELITY_SCHEMA,
     Expectation,
     Scoreboard,
-    build_fidelity_artifact,
     check_expectations,
     evaluate_summaries,
-    load_fidelity_artifact,
+)
+from repro.reporting.fidelity import (
+    FIDELITY,
+    FIDELITY_SCHEMA,
+    build_fidelity_artifact,
     scoreboard_table,
-    validate_fidelity_artifact,
-    write_fidelity_artifact,
 )
 
 
@@ -141,9 +141,9 @@ class TestDeclarationRegistry:
             )
 
     def test_experiment_modules_declare_expectations(self):
-        # Importing the runner pulls in every experiment module; all of them
-        # must declare, and the paper's headline metrics must be present.
-        from repro.experiments import runner  # noqa: F401
+        # Importing the package pulls in every experiment module; all of
+        # them must declare, and the paper's headline metrics must be present.
+        import repro.experiments  # noqa: F401
 
         declared = fidelity.declared_experiments()
         assert "table1" in declared and "fig10" in declared
@@ -219,7 +219,7 @@ class TestArtifact:
         doc = build_fidelity_artifact(
             self.board(), git_sha="abc", created_utc="2026-08-06T00:00:00+00:00"
         )
-        validate_fidelity_artifact(doc)
+        FIDELITY.validate(doc)
         assert doc["schema"] == FIDELITY_SCHEMA
         assert doc["overall"] == "fail"  # b deviates 2.0 > 3 * 0.5
         assert doc["counts"] == {"match": 1, "drift": 0, "fail": 1}
@@ -232,33 +232,33 @@ class TestArtifact:
 
     def test_validation_rejects_bad_docs(self):
         with pytest.raises(ValueError, match="schema"):
-            validate_fidelity_artifact({"schema": "other/v9"})
+            FIDELITY.validate({"schema": "other/v9"})
         doc = build_fidelity_artifact(self.board())
         del doc["overall"]
         with pytest.raises(ValueError, match="overall"):
-            validate_fidelity_artifact(doc)
+            FIDELITY.validate(doc)
         doc = build_fidelity_artifact(self.board())
         doc["verdicts"][0]["verdict"] = "meh"
         with pytest.raises(ValueError, match="meh"):
-            validate_fidelity_artifact(doc)
+            FIDELITY.validate(doc)
 
     def test_write_is_append_only_and_round_trips(self, tmp_path):
         doc = build_fidelity_artifact(
             self.board(), git_sha="abc", created_utc="2026-08-06T00:00:00+00:00"
         )
-        first = write_fidelity_artifact(doc, tmp_path)
-        second = write_fidelity_artifact(doc, tmp_path)
+        first = FIDELITY.write(doc, tmp_path)
+        second = FIDELITY.write(doc, tmp_path)
         assert first.name == "FIDELITY_20260806_abc.json"
         assert second.name == "FIDELITY_20260806_abc_2.json"
-        assert load_fidelity_artifact(first)["overall"] == doc["overall"]
+        assert FIDELITY.load(first)["overall"] == doc["overall"]
 
     def test_load_rejects_corrupt_artifact(self, tmp_path):
         path = tmp_path / "FIDELITY_x.json"
         path.write_text("{not json")
         with pytest.raises(ValueError, match="invalid JSON"):
-            load_fidelity_artifact(path)
+            FIDELITY.load(path)
         with pytest.raises(FileNotFoundError):
-            load_fidelity_artifact(tmp_path / "absent.json")
+            FIDELITY.load(tmp_path / "absent.json")
 
 
 class TestScoreboardTable:

@@ -13,21 +13,19 @@ except ImportError:  # pragma: no cover - hypothesis ships in the test extra
     HAVE_HYPOTHESIS = False
 
 from repro.obs import TraceLog, build_manifest
-from repro.obs.fleet import (
+from repro.reporting.fleet import (
+    FLEET,
     FLEET_SCHEMA,
     HOURS_PER_YEAR,
     AuditAssumptions,
     bench_trend,
     build_fleet_artifact,
     build_fleet_summary,
-    load_fleet_artifact,
     per_experiment_fidelity,
     scenario_costs,
     scenario_deltas,
-    validate_fleet_artifact,
-    write_fleet_artifact,
 )
-from repro.obs.ledger import build_ledger
+from repro.reporting.ledger import build_ledger
 
 # Hand-computed fixture: 8 dedicated servers at 2 kW vs 4 consolidated at
 # 1 kW, priced at $0.10/kWh, 500 gCO2/kWh, $2400/server over 4 years, for
@@ -308,7 +306,7 @@ class TestFleetArtifact:
 
     def test_build_and_validate(self, tmp_path):
         doc = self._artifact(tmp_path)
-        validate_fleet_artifact(doc)
+        FLEET.validate(doc)
         assert doc["schema"] == FLEET_SCHEMA
         assert doc["ledger"]["counts"]["result"] == 1
         assert len(doc["inputs_hash"]) == 64
@@ -327,23 +325,23 @@ class TestFleetArtifact:
 
     def test_write_load_roundtrip_append_only(self, tmp_path):
         doc = self._artifact(tmp_path)
-        p1 = write_fleet_artifact(doc, tmp_path)
-        p2 = write_fleet_artifact(doc, tmp_path)
+        p1 = FLEET.write(doc, tmp_path)
+        p2 = FLEET.write(doc, tmp_path)
         assert p1 != p2  # append-only: never clobbers
         assert p1.name.startswith("FLEET_20260808_abc123")
-        loaded = load_fleet_artifact(p1)
+        loaded = FLEET.load(p1)
         assert loaded["scenarios"] == doc["scenarios"]
 
     def test_validation_failures(self, tmp_path):
         with pytest.raises(ValueError, match="unexpected schema"):
-            validate_fleet_artifact({"schema": "repro.fleet/v99"})
+            FLEET.validate({"schema": "repro.fleet/v99"})
         doc = self._artifact(tmp_path)
         del doc["decision"]
         with pytest.raises(ValueError, match="missing 'decision'"):
-            validate_fleet_artifact(doc)
+            FLEET.validate(doc)
         bad = tmp_path / "FLEET_bad.json"
         bad.write_text("{ nope")
         with pytest.raises(ValueError, match="invalid JSON"):
-            load_fleet_artifact(bad)
+            FLEET.load(bad)
         with pytest.raises(FileNotFoundError):
-            load_fleet_artifact(tmp_path / "absent.json")
+            FLEET.load(tmp_path / "absent.json")

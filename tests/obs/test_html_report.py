@@ -4,15 +4,12 @@ import json
 
 import pytest
 
-from repro.obs import build_ledger, render_report, write_report
-from repro.obs.bench import BenchResult, build_artifact
-from repro.obs.fidelity import (
-    Expectation,
-    Scoreboard,
-    build_fidelity_artifact,
-    check_expectations,
-)
-from repro.obs.report import _span_tree, _sparkline, main
+from repro.obs.fidelity import Expectation, Scoreboard, check_expectations
+from repro.reporting.bench import BenchResult, build_artifact
+from repro.reporting.fidelity import build_fidelity_artifact
+from repro.reporting.ledger import build_ledger
+from repro.reporting.report import _span_tree, _sparkline, render_report, write_report
+from repro.reporting.reportcli import main
 
 
 def _fidelity_doc(overall="match"):

@@ -5,14 +5,10 @@ import json
 import pytest
 
 from repro.obs import TraceLog, build_manifest
-from repro.obs.bench import BenchResult, build_artifact
-from repro.obs.fidelity import (
-    Expectation,
-    Scoreboard,
-    build_fidelity_artifact,
-    check_expectations,
-)
-from repro.obs.ledger import (
+from repro.obs.fidelity import Expectation, Scoreboard, check_expectations
+from repro.reporting.bench import BenchResult, build_artifact
+from repro.reporting.fidelity import build_fidelity_artifact
+from repro.reporting.ledger import (
     LEDGER_KINDS,
     build_ledger,
     fingerprint_key,

@@ -9,16 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import (
-    MetricsRegistry,
-    TraceLog,
-    discover_suite,
-    scoped_registry,
-    scoped_trace,
-)
-from repro.obs.bench import _import_bench_module
+from repro.obs import MetricsRegistry, TraceLog, scoped_registry, scoped_trace
 from repro.parallel import ParallelSweep, chunk_grid, seed_for, sweep_map
 from repro.parallel import sweep as sweep_mod
+from repro.reporting.bench import _import_bench_module, discover_suite
 
 
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"

@@ -97,6 +97,27 @@ class TestMinServersArrays:
         assert isinstance(out, int)
         assert out == erlang.min_servers(20.0, 0.01)
 
+    @pytest.mark.parametrize(
+        "invert",
+        [
+            vec.min_servers,
+            lambda rho, t: vec.min_servers(np.array([1.0, rho]), t),
+            vec.min_servers_continuous,
+        ],
+        ids=["recurrence", "lockstep", "bisection"],
+    )
+    def test_load_beyond_cap_raises_before_scanning(self, invert):
+        # Carried load rho * (1 - B) never exceeds n, so no n under the
+        # 5e7 cap meets B = 0.01 at rho = 1e9; the scan is not started.
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError) as info:
+            invert(1e9, 0.01)
+        assert time.perf_counter() - t0 < 0.5
+        assert str(info.value) == (
+            "min_servers did not converge below 0.01 within 50000000 servers "
+            "(rho=1000000000.0)"
+        )
+
     def test_million_point_grid_under_60s(self):
         # ISSUE 7 acceptance: 1,000,000-point (rho, B) grid < 60 s.
         rho = np.linspace(0.5, 120.0, 1_000_000)

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from repro.obs import parse_prometheus_text
-from repro.service import PlannerApp, PlannerServer
+from repro.service import PlannerApp
+from repro.service.server import PlannerServer
 
 EXAMPLE_PATH = Path(__file__).resolve().parents[2] / "examples" / "deployment.json"
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")

@@ -45,6 +45,8 @@ class TestTopLevel:
         "repro.analysis",
         "repro.experiments",
         "repro.service",
+        "repro.obs",
+        "repro.reporting",
     ],
 )
 class TestSubpackages:
