@@ -18,6 +18,7 @@ from repro.simulation.loss_network import (
 from repro.core.inputs import ResourceKind
 
 CPU = ResourceKind.CPU
+DISK = ResourceKind.DISK_IO
 
 
 @pytest.mark.benchmark(group="engine")
@@ -64,3 +65,26 @@ def test_loss_network_event_rate(benchmark):
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.total_arrived > 5000
+
+
+@pytest.mark.benchmark(group="engine")
+def test_loss_network_group1(benchmark):
+    # The paper's group-1 Web+DB pool scaled 26x at its sized N = 29: ~8k
+    # arrivals in 0.5 virtual seconds with ~30 holds queued at once, so
+    # unlike the chain above every push and pop sifts a deep heap.
+    # Holding rates are mu * impact factor (Web CPU 3360 * 0.65, Web disk
+    # 1420 * 0.8, DB CPU 100 * 0.9).
+    def run():
+        net = LossNetwork(
+            29,
+            [
+                ServiceTraffic.exponential(
+                    "web", 600.0 * 26, {CPU: 3360.0 * 0.65, DISK: 1420.0 * 0.8}
+                ),
+                ServiceTraffic.exponential("db", 40.0 * 26, {CPU: 100.0 * 0.9}),
+            ],
+        )
+        return net.run(0.5, np.random.default_rng(2009))
+
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert result.total_arrived > 0

@@ -495,13 +495,14 @@ def min_servers_continuous(rho: float, blocking_target: float) -> int:
     registry = get_registry()
     t0 = perf_counter() if registry.enabled else 0.0
     evaluations = 0
-    # Bracket: blocking at n=0 is 1; grow hi geometrically until below target.
-    hi = max(1, int(rho))
+    # Bracket: blocking at n=0 is 1; grow hi geometrically until below
+    # target, clamped to the cap so an answer just under it is still found.
+    hi = min(max(1, int(rho)), _MAX_SERVERS)
     while erlang_b_continuous(hi, rho) > blocking_target:
         evaluations += 1
-        hi *= 2
-        if hi > _MAX_SERVERS:  # pragma: no cover - defensive
-            raise RuntimeError("min_servers_continuous failed to bracket")
+        if hi >= _MAX_SERVERS:
+            raise _unsolvable(rho, blocking_target)
+        hi = min(2 * hi, _MAX_SERVERS)
     lo = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2

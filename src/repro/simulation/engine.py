@@ -7,6 +7,12 @@ increasing sequence number breaking time ties in insertion order, so runs
 with a fixed RNG seed are exactly reproducible — a property the statistical
 validation tests rely on.
 
+Heap layout: each entry is the tuple ``(time, seq, event)``.  ``heapq``
+then orders entries with the C tuple comparison instead of calling a
+Python ``__lt__`` per sift step, and since ``seq`` is unique a comparison
+never reaches the :class:`ScheduledEvent` handle in the third slot.  The
+order is exactly the ``(time, seq)`` order of a sorted list.
+
 Observability: every configuration runs the same loop in
 :meth:`Simulator.run`.  Executed and skipped events are plain counts — the
 executed count is derived as scheduled − queued − skipped, so the loop
@@ -32,17 +38,22 @@ from ..obs import get_bus, get_registry
 __all__ = ["Simulator", "ScheduledEvent"]
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True, eq=False)
 class ScheduledEvent:
-    """Heap entry: ordered by (time, sequence)."""
+    """Handle to one scheduled callback, returned by ``schedule_at``/``_in``.
+
+    The heap does not order handles: it holds ``(time, seq, handle)``
+    tuples (see the module docstring), so this class needs no comparison
+    methods and equality is identity.
+    """
 
     time: float
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
     # Owning simulator while the event is queued; cleared when it executes,
     # so a late cancel() of an already-fired event stays a harmless flag.
-    sim: "Simulator | None" = field(default=None, compare=False, repr=False)
+    sim: "Simulator | None" = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Mark the event dead; it will be skipped when popped."""
@@ -57,7 +68,8 @@ class Simulator:
     """Event loop with virtual time."""
 
     def __init__(self) -> None:
-        self._heap: list[ScheduledEvent] = []
+        # (time, seq, event) entries; see the module docstring.
+        self._heap: list[tuple[float, int, ScheduledEvent]] = []
         # Events ever scheduled (also the FIFO tie-break sequence) and
         # cancelled events discarded on pop; see _counts().
         self._scheduled = 0
@@ -111,8 +123,8 @@ class Simulator:
             )
         seq = self._scheduled
         self._scheduled = seq + 1
-        event = ScheduledEvent(time=time, seq=seq, callback=callback, sim=self)
-        heapq.heappush(self._heap, event)
+        event = ScheduledEvent(time, seq, callback, False, self)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def schedule_in(self, delay: float, callback: Callable[[], None]) -> ScheduledEvent:
@@ -142,14 +154,13 @@ class Simulator:
         before = self._counts()
         try:
             while heap:
-                event = heap[0]
-                t = event.time
+                t = heap[0][0]
                 if t >= limit:
                     if t > stop:
                         break
                     if self._series is not None:
                         limit = min(self._open_bucket(t), end)
-                pop(heap)
+                event = pop(heap)[2]
                 if event.cancelled:
                     self._dead -= 1
                     self._skipped += 1

@@ -438,13 +438,19 @@ class LossNetwork:
 
             sim.schedule_at(interval, control_tick)
 
-        def release(kind: ResourceKind) -> None:
+        def releaser(kind: ResourceKind):
             st = states[kind]
-            st.busy_stat.update(sim.now, st.in_use - 1)
-            st.in_use -= 1
-            if telemetry:
-                occ_g[kind].set(sim.now, float(st.in_use))
-                record_level()
+
+            def release() -> None:
+                st.busy_stat.update(sim.now, st.in_use - 1)
+                st.in_use -= 1
+                if telemetry:
+                    occ_g[kind].set(sim.now, float(st.in_use))
+                    record_level()
+
+            return release
+
+        release_of = {kind: releaser(kind) for kind in self.resources}
 
         def next_thinned(name: str) -> float | None:
             """Next accepted arrival after ``sim.now`` (or None past the
@@ -460,47 +466,60 @@ class LossNetwork:
                 if rng.random() * peak < rate:
                     return t
 
-        def arrive(service: ServiceTraffic) -> None:
-            needed = list(service.holding)
-            if telemetry:
-                arr_c[service.name].add(sim.now)
-            if all(states[k].in_use < states[k].capacity for k in needed):
-                counters[service.name].record(True)
-                for kind in needed:
-                    st = states[kind]
-                    st.busy_stat.update(sim.now, st.in_use + 1)
-                    st.in_use += 1
-                    hold = float(service.holding[kind].sample(rng))
-                    sim.schedule_in(hold, lambda k=kind: release(k))
+        def start_arrivals(service: ServiceTraffic) -> None:
+            """Schedule the first arrival of ``service``; each arrival
+            admits or blocks one request, then schedules the next."""
+            name = service.name
+            counter = counters[name]
+            rate = service.arrival_rate
+            # Admission plan, built once per run: one (state, sampler,
+            # release callback) per held resource in the holding map's
+            # order, so every admission draws one sample(rng) per held
+            # resource in that order.
+            plan = tuple(
+                (states[kind], dist.sample, release_of[kind])
+                for kind, dist in service.holding.items()
+            )
+
+            def schedule_next() -> None:
+                # Per-service Poisson stream, thinned against the rate
+                # schedule when one is given.
+                if name in thinned:
+                    nxt = next_thinned(name)
+                    if nxt is not None:
+                        sim.schedule_at(nxt, arrive)
+                elif rate > 0.0:
+                    gap = rng.exponential(1.0 / rate)
+                    if sim.now + gap <= horizon:
+                        sim.schedule_in(gap, arrive)
+
+            def arrive() -> None:
+                now = sim.now
                 if telemetry:
-                    adm_c[service.name].add(sim.now)
-                    for kind in needed:
-                        occ_g[kind].set(sim.now, float(states[kind].in_use))
-                    record_level()
-            else:
-                counters[service.name].record(False)
-                if telemetry:
-                    los_c[service.name].add(sim.now)
-            # Next arrival of this service (per-service Poisson stream,
-            # thinned against the rate schedule when one is given).
-            if service.name in thinned:
-                nxt = next_thinned(service.name)
-                if nxt is not None:
-                    sim.schedule_at(nxt, lambda s=service: arrive(s))
-            elif service.arrival_rate > 0.0:
-                gap = rng.exponential(1.0 / service.arrival_rate)
-                if sim.now + gap <= horizon:
-                    sim.schedule_in(gap, lambda s=service: arrive(s))
+                    arr_c[name].add(now)
+                for st, _, _ in plan:
+                    if st.in_use >= st.capacity:
+                        counter.record(False)
+                        if telemetry:
+                            los_c[name].add(now)
+                        break
+                else:
+                    counter.record(True)
+                    for st, sample, release in plan:
+                        st.busy_stat.update(now, st.in_use + 1)
+                        st.in_use += 1
+                        sim.schedule_in(float(sample(rng)), release)
+                    if telemetry:
+                        adm_c[name].add(now)
+                        for kind in service.holding:
+                            occ_g[kind].set(now, float(states[kind].in_use))
+                        record_level()
+                schedule_next()
+
+            schedule_next()
 
         for service in self.services:
-            if service.name in thinned:
-                first = next_thinned(service.name)
-                if first is not None:
-                    sim.schedule_at(first, lambda s=service: arrive(s))
-            elif service.arrival_rate > 0.0:
-                first = rng.exponential(1.0 / service.arrival_rate)
-                if first <= horizon:
-                    sim.schedule_at(first, lambda s=service: arrive(s))
+            start_arrivals(service)
 
         sim.run()
         end = max(sim.now, horizon)

@@ -107,8 +107,8 @@ class TestPendingCounter:
                 live.pop(int(rng.integers(0, len(live)))).cancel()
             elif sim.pending:
                 # Run exactly the next live event.
-                sim.run(until=min(e.time for e in sim._heap if not e.cancelled))
-            scan = sum(1 for e in sim._heap if not e.cancelled)
+                sim.run(until=min(e.time for _, _, e in sim._heap if not e.cancelled))
+            scan = sum(1 for _, _, e in sim._heap if not e.cancelled)
             assert sim.pending == scan
 
 

@@ -118,6 +118,26 @@ class TestMinServersArrays:
             "(rho=1000000000.0)"
         )
 
+    def test_bisection_brackets_answers_just_under_cap(self, monkeypatch):
+        # Regression: the bracket doubled hi from rho past the cap and
+        # raised "failed to bracket" although the answer (~1150 servers
+        # for rho = 1000, B = 1e-6) lies below a 1500-server cap.
+        expected = vec.min_servers(1000.0, 1e-6)
+        monkeypatch.setattr(vec, "_MAX_SERVERS", 1500)
+        assert expected < 1500
+        assert vec.min_servers_continuous(1000.0, 1e-6) == expected
+
+    def test_bisection_answer_above_cap_still_unsolvable(self, monkeypatch):
+        # rho * (1 - B) passes the pre-scan bound, but the answer does not
+        # fit under the cap: the bracket stops at the cap and says so.
+        monkeypatch.setattr(vec, "_MAX_SERVERS", 1500)
+        with pytest.raises(RuntimeError) as info:
+            vec.min_servers_continuous(1480.0, 1e-6)
+        assert str(info.value) == (
+            "min_servers did not converge below 1e-06 within 1500 servers "
+            "(rho=1480.0)"
+        )
+
     def test_million_point_grid_under_60s(self):
         # ISSUE 7 acceptance: 1,000,000-point (rho, B) grid < 60 s.
         rho = np.linspace(0.5, 120.0, 1_000_000)

@@ -1,9 +1,20 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import TelemetryBus, scoped_bus
 from repro.simulation.engine import Simulator
+
+# One scheduling action: ("at" | "in", k) queues an event k half-steps
+# ahead of now (a small grid, so many times tie); ("cancel", i) cancels
+# the i-th handle ever made, modulo their count (queued, fired or
+# already cancelled alike).
+ACTION = st.one_of(
+    st.tuples(st.sampled_from(["at", "in"]), st.integers(0, 4)),
+    st.tuples(st.just("cancel"), st.integers(0, 1000)),
+)
 
 
 class TestScheduling:
@@ -140,6 +151,68 @@ class TestRunControl:
         sim.schedule_at(0.0, recurse)
         sim.run()
         assert len(errors) == 1
+
+
+class TestEventOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        setup=st.lists(ACTION, max_size=30),
+        script=st.lists(ACTION, max_size=60),
+        untils=st.lists(st.integers(0, 12), max_size=3),
+    )
+    def test_execution_matches_sorted_reference(self, setup, script, untils):
+        # Callbacks run in exactly the (time, insertion order) order of
+        # every event ever scheduled, minus those cancelled while queued,
+        # and ``pending`` tracks the live count after every action.
+        sim = Simulator()
+        handles = []
+        reference = []  # (time, insertion index) of every scheduled event
+        live = set()  # scheduled, neither executed nor cancelled
+        cancelled = set()  # cancelled while still queued
+        executed = []
+        steps = iter(script)
+
+        def fire(index):
+            assert index in live
+            live.discard(index)
+            executed.append(index)
+            assert sim.pending == len(live)
+            # Each callback applies the next two scripted actions, so
+            # events schedule and cancel others from inside the loop.
+            for action in (next(steps, None), next(steps, None)):
+                if action is not None:
+                    apply(action)
+
+        def apply(action):
+            kind, arg = action
+            if kind == "cancel":
+                if handles:
+                    index = arg % len(handles)
+                    if index in live:
+                        live.discard(index)
+                        cancelled.add(index)
+                    handles[index].cancel()
+            else:
+                index = len(handles)
+                t = sim.now + 0.5 * arg
+                if kind == "at":
+                    handle = sim.schedule_at(t, lambda i=index: fire(i))
+                else:
+                    handle = sim.schedule_in(0.5 * arg, lambda i=index: fire(i))
+                assert handle.time == t
+                handles.append(handle)
+                reference.append((t, index))
+                live.add(index)
+            assert sim.pending == len(live)
+
+        for action in setup:
+            apply(action)
+        for until in sorted(untils):
+            sim.run(until=0.5 * until)
+            assert sim.pending == len(live)
+        sim.run()
+        assert executed == [i for _, i in sorted(reference) if i not in cancelled]
+        assert sim.pending == 0 and not live
 
 
 class TestTelemetryStep:

@@ -136,6 +136,45 @@ class TestLossNetwork:
             LossNetwork(1, [t]).run(0.0, np.random.default_rng())
 
 
+class TestFixedSeedReplication:
+    """The paper's group-1 Web+DB deployment scaled 26x (web 15600 req/s,
+    DB 1040 WIPS, B = 0.01), sized by the model and simulated for 4
+    virtual seconds from seed 2009: exact counts, so any change to the
+    engine's event order or the network's RNG draw order shows here."""
+
+    DEPLOYMENT = {
+        "loss_probability": 0.01,
+        "services": [
+            {"name": "web", "arrival_rate": 600.0 * 26.0,
+             "service_rates": {"cpu": 3360.0, "disk_io": 1420.0},
+             "impact_factors": {"cpu": 0.65, "disk_io": 0.8}},
+            {"name": "db", "arrival_rate": 40.0 * 26.0,
+             "service_rates": {"cpu": 100.0},
+             "impact_factors": {"cpu": 0.9}},
+        ],
+    }
+
+    def test_seed_2009_group1_counts(self):
+        from repro.core import UtilityAnalyticModel
+        from repro.core.plan import parse_deployment
+
+        inputs, _, _ = parse_deployment(self.DEPLOYMENT)
+        servers = UtilityAnalyticModel(inputs, load_model="offered").solve().consolidated_servers
+        traffics = [
+            ServiceTraffic.exponential(
+                s.name, s.arrival_rate, {r: s.effective_mu(r) for r in s.service_rates}
+            )
+            for s in inputs.services
+        ]
+        rng = np.random.default_rng(2009)
+        result = LossNetwork(servers, traffics, pool="bench").run(4.0, rng)
+        assert servers == 29
+        assert result.per_service_arrived == {"web": 62103, "db": 4213}
+        assert result.per_service_blocked == {"web": 464, "db": 32}
+        # Callers reuse the generator after a run: its state is pinned too.
+        assert rng.random() == 0.4033025145514184
+
+
 class TestTelemetryRecording:
     def net(self, pool="web", power=False):
         from repro.core.power import ServerPowerModel
