@@ -146,14 +146,6 @@ class ConsolidationPlanner:
             consolidated_packing=consolidated_packing,
         )
 
-    def sweep_loss_probability(
-        self,
-        services: Sequence[ServiceSpec],
-        loss_probabilities: Sequence[float],
-    ) -> list[ConsolidationReport]:
-        """Plan across several QoS targets (stricter B -> more servers)."""
-        return [self.plan(services, b) for b in loss_probabilities]
-
     def sweep_workload_scale(
         self,
         services: Sequence[ServiceSpec],

@@ -271,14 +271,3 @@ class ModelInputs:
 
     def with_loss_probability(self, loss_probability: float) -> "ModelInputs":
         return ModelInputs(services=self.services, loss_probability=loss_probability)
-
-    def scaled_workloads(self, factor: float) -> "ModelInputs":
-        """All arrival rates multiplied by ``factor`` (workload sweeps)."""
-        if factor < 0.0:
-            raise ValueError(f"factor must be non-negative, got {factor}")
-        return ModelInputs(
-            services=tuple(
-                s.with_arrival_rate(s.arrival_rate * factor) for s in self.services
-            ),
-            loss_probability=self.loss_probability,
-        )

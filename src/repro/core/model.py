@@ -62,15 +62,6 @@ class DedicatedServiceSizing:
             return None
         return max(self.per_resource_servers, key=lambda k: self.per_resource_servers[k])
 
-    def achieved_blocking(self) -> Mapping[ResourceKind, float]:
-        """Blocking actually achieved per resource with ``servers`` machines.
-
-        With the service pinned to its bottleneck count, non-bottleneck
-        resources run strictly below the target loss.
-        """
-        n = self.servers
-        return {k: erlang_b(n, rho) for k, rho in self.per_resource_load.items()}
-
 
 @dataclass(frozen=True)
 class ConsolidationSolution:
@@ -118,45 +109,6 @@ class ConsolidationSolution:
             if d.service.name == name:
                 return d
         raise KeyError(f"no service named {name!r}")
-
-    def consolidated_blocking(self) -> Mapping[ResourceKind, float]:
-        """Blocking achieved per resource with the final ``N`` shared servers."""
-        n = self.consolidated_servers
-        return {k: erlang_b(n, rho) for k, rho in self.consolidated_load.items()}
-
-    def summary_rows(self) -> list[dict]:
-        """Tabular summary used by the experiment harness's printers."""
-        rows = []
-        for d in self.dedicated:
-            rows.append(
-                {
-                    "scenario": "dedicated",
-                    "service": d.service.name,
-                    "servers": d.servers,
-                    "bottleneck": str(d.bottleneck) if d.bottleneck else "-",
-                }
-            )
-        rows.append(
-            {
-                "scenario": "dedicated",
-                "service": "TOTAL (M)",
-                "servers": self.dedicated_servers,
-                "bottleneck": "-",
-            }
-        )
-        rows.append(
-            {
-                "scenario": "consolidated",
-                "service": "ALL (N)",
-                "servers": self.consolidated_servers,
-                "bottleneck": (
-                    str(self.consolidated_bottleneck)
-                    if self.consolidated_bottleneck
-                    else "-"
-                ),
-            }
-        )
-        return rows
 
 
 class UtilityAnalyticModel:

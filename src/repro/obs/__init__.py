@@ -36,7 +36,6 @@ from .export import (
     PROMETHEUS_CONTENT_TYPE,
     build_manifest,
     inputs_hash,
-    parse_prometheus_text,
     prometheus_text,
     write_manifest,
     write_prometheus,
@@ -105,7 +104,6 @@ __all__ = [
     "set_trace",
     "scoped_trace",
     "prometheus_text",
-    "parse_prometheus_text",
     "PROMETHEUS_CONTENT_TYPE",
     "write_prometheus",
     "write_trace_jsonl",

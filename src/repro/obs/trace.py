@@ -21,7 +21,6 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from time import perf_counter
 from typing import Any, Iterator
 
@@ -143,14 +142,6 @@ class TraceLog:
 
     def to_jsonl(self) -> str:
         return "\n".join(e.to_json() for e in self._events)
-
-    def export_jsonl(self, path: str | Path) -> Path:
-        """Write one JSON document per line; returns the path written."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = self.to_jsonl()
-        path.write_text(text + "\n" if text else "")
-        return path
 
 
 class _NullSpan:

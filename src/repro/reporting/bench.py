@@ -310,10 +310,6 @@ class BenchResult:
     def wall_median(self) -> float | None:
         return statistics.median(self.wall_s) if self.wall_s else None
 
-    @property
-    def cpu_median(self) -> float | None:
-        return statistics.median(self.cpu_s) if self.cpu_s else None
-
 
 def _timing_doc(samples: list[float]) -> dict[str, Any]:
     if not samples:

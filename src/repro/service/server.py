@@ -116,9 +116,6 @@ class PlannerServer:
         )
         self._thread.start()
 
-    def serve_forever(self) -> None:
-        self._httpd.serve_forever(poll_interval=0.05)
-
     def drain(self, deadline_s: float = 5.0) -> bool:
         """Stop accepting, wait for in-flight requests; True when drained."""
         self.app.draining = True
@@ -131,6 +128,16 @@ class PlannerServer:
         return self.app.in_flight == 0
 
     def close(self) -> None:
+        """Stop the serve loop, if :meth:`start` ran, then close the socket.
+
+        A loop left running on a closed socket spins at full CPU.  The
+        ``shutdown()`` is skipped when no loop was started, because it
+        would then wait forever.
+        """
+        if self._thread is not None:
+            self._httpd.shutdown()
+            self._thread.join()
+            self._thread = None
         self._httpd.server_close()
 
 

@@ -12,9 +12,9 @@
 """
 
 from .datacenter import CaseStudyResult, DataCenterSimulation, ScenarioResult
-from .delay_sim import DelaySystemResult, response_time_curve, simulate_delay_system
+from .delay_sim import DelaySystemResult, simulate_delay_system
 from .engine import ScheduledEvent, Simulator
-from .fluid import FluidRunResult, demand_trace_from_rates, simulate_flow_control
+from .fluid import FluidRunResult, simulate_flow_control
 from .loss_network import (
     LossNetwork,
     LossNetworkResult,
@@ -40,8 +40,6 @@ __all__ = [
     "CaseStudyResult",
     "simulate_flow_control",
     "FluidRunResult",
-    "demand_trace_from_rates",
     "DelaySystemResult",
     "simulate_delay_system",
-    "response_time_curve",
 ]

@@ -19,7 +19,7 @@ Scenario construction mirrors Fig. 3:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -199,59 +199,6 @@ class DataCenterSimulation:
         )
         return ScenarioResult(
             scenario="consolidated",
-            servers=servers,
-            per_service_loss=dict(result.per_service_loss),
-            per_service_loss_ci=dict(result.per_service_loss_ci),
-            per_service_throughput=throughput,
-            per_resource_utilization=dict(result.per_resource_utilization),
-            energy=energy,
-        )
-
-    def run_controlled(
-        self,
-        controller,
-        horizon: float,
-        rng: np.random.Generator,
-        rate_schedule: Mapping[str, Sequence[tuple[float, float]]] | None = None,
-    ) -> ScenarioResult:
-        """Pooled scenario with a live consolidation controller attached.
-
-        ``controller`` is a :class:`repro.control.controller
-        .ConsolidationController` (or anything honouring the
-        ``LossNetwork.run(control=...)`` duck type *plus* the energy
-        ledger attributes used below).  The pool starts at the
-        controller's powered count; from the first control tick onward
-        the controller owns capacity.  Energy comes from the controller's
-        own ledger — it meters boots, migrations, and the on/off schedule
-        the static ``PowerMeter`` cannot see.
-        """
-        traffics = [self._virtualized_traffic(s) for s in self.inputs.services]
-        servers = controller.fleet.powered_count
-        network = LossNetwork(
-            servers,
-            traffics,
-            pool="controlled",
-            power_model=self._xen_power_model(),
-        )
-        result = network.run(
-            horizon, rng, rate_schedule=rate_schedule, control=controller
-        )
-        throughput = {
-            name: (result.per_service_arrived[name] - result.per_service_blocked[name])
-            / horizon
-            for name in result.per_service_arrived
-        }
-        period_s = controller.planner.period_length
-        energy = EnergyReading(
-            duration=controller.ticks * period_s,
-            total_energy=controller.energy_j,
-            idle_energy=controller.server_ticks
-            * controller.planner.power_model.base_watts
-            * period_s,
-            samples=max(controller.ticks, 1),
-        )
-        return ScenarioResult(
-            scenario="controlled",
             servers=servers,
             per_service_loss=dict(result.per_service_loss),
             per_service_loss_ci=dict(result.per_service_loss_ci),

@@ -5,8 +5,7 @@ are *delay* quantities: Fig. 9's Web panel plots mean response time, and
 the testbed's LVS front end queues rather than drops below saturation.
 This module simulates an ``n``-server FIFO queue (M/G/n) on the DES engine
 and reports response-time statistics, validating the closed-form M/M/n
-results in :mod:`repro.queueing.mmn` and providing the simulated
-response-time curves for the Fig. 9 cross-check.
+results in :mod:`repro.queueing.mmn`.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from ..queueing.distributions import Distribution, as_distribution
 from .engine import Simulator
 from .metrics import RunningStats, TimeWeightedStat
 
-__all__ = ["DelaySystemResult", "simulate_delay_system", "response_time_curve"]
+__all__ = ["DelaySystemResult", "simulate_delay_system"]
 
 
 @dataclass(frozen=True)
@@ -129,21 +128,3 @@ def simulate_delay_system(
         utilization=min(busy_stat.time_average(end) / servers, 1.0),
         probability_of_wait=(waited_count / completed) if completed else 0.0,
     )
-
-
-def response_time_curve(
-    arrival_rates: np.ndarray,
-    service_rate: float,
-    servers: int,
-    horizon: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Mean response time at each arrival rate (the Fig. 9 Web panel)."""
-    rates = np.asarray(arrival_rates, dtype=float)
-    out = np.empty(rates.shape)
-    for i, lam in enumerate(rates):
-        result = simulate_delay_system(
-            float(lam), 1.0 / service_rate, servers, horizon, rng
-        )
-        out[i] = result.mean_response_time
-    return out

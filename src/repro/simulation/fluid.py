@@ -16,13 +16,13 @@ normalized-server units of work per period.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from ..virtualization.rainbow import FlowController
 
-__all__ = ["FluidRunResult", "simulate_flow_control", "demand_trace_from_rates"]
+__all__ = ["FluidRunResult", "simulate_flow_control"]
 
 
 @dataclass(frozen=True)
@@ -108,31 +108,3 @@ def simulate_flow_control(
         offered_work=offered,
         served_work=served,
     )
-
-
-def demand_trace_from_rates(
-    arrival_rates: Sequence[float],
-    work_per_request: Sequence[float],
-    periods: int,
-    rng: np.random.Generator,
-    period_length: float = 1.0,
-) -> dict[int, np.ndarray]:
-    """Poisson per-period work demands for several services.
-
-    Service ``i`` receives ``Poisson(lambda_i * period_length)`` requests per
-    period, each worth ``work_per_request[i]`` normalized-server units.
-    Returned keyed by service index; callers typically re-key by name.
-    """
-    if len(arrival_rates) != len(work_per_request):
-        raise ValueError("arrival_rates and work_per_request must align")
-    if periods < 1:
-        raise ValueError(f"periods must be >= 1, got {periods}")
-    if period_length <= 0.0:
-        raise ValueError(f"period length must be positive, got {period_length}")
-    out: dict[int, np.ndarray] = {}
-    for i, (lam, work) in enumerate(zip(arrival_rates, work_per_request)):
-        if lam < 0.0 or work < 0.0:
-            raise ValueError("rates and work must be non-negative")
-        counts = rng.poisson(lam * period_length, periods)
-        out[i] = counts.astype(float) * work
-    return out

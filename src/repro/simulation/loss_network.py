@@ -193,10 +193,6 @@ class LossNetworkResult:
     def total_arrived(self) -> int:
         return sum(self.per_service_arrived.values())
 
-    @property
-    def total_blocked(self) -> int:
-        return sum(self.per_service_blocked.values())
-
 
 class LossNetwork:
     """Multi-resource loss network over a pool of ``servers`` machines.

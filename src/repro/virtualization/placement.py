@@ -78,12 +78,6 @@ class PlacementPlan:
     def vms_on(self, host: int) -> list[str]:
         return [name for name, h in self.assignments.items() if h == host]
 
-    def host_of(self, name: str) -> int:
-        return self.assignments[name]
-
-    def max_load(self, resource: ResourceKind) -> float:
-        return max((load.get(resource, 0.0) for load in self.host_loads), default=0.0)
-
     def validate(self) -> None:
         """Assert no host is overcommitted on any dimension."""
         for i, load in enumerate(self.host_loads):

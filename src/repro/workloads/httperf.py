@@ -5,7 +5,7 @@ record reply rates.  :class:`RateSweep` packages that procedure against any
 callable throughput surface: a grid of target request rates, per-point
 measurement with sampling noise (real httperf runs are finite, so measured
 reply rates carry Poisson counting error), and summary extraction (peak
-throughput, saturation point, stable plateau) — the ingredients of the
+throughput, saturation point, goodput fraction) — the ingredients of the
 Fig. 5/6 analysis.
 """
 
@@ -40,19 +40,6 @@ class SweepResult:
     def saturation_rate(self) -> float:
         """Request rate at which throughput peaked."""
         return float(self.request_rates[int(np.argmax(self.reply_rates))])
-
-    def stable_mean(self, from_rate: float | None = None) -> float:
-        """Mean reply rate over the plateau beyond ``from_rate``.
-
-        Defaults to everything past 1.25x the saturation point, echoing the
-        paper's "stable mean throughput" windows.
-        """
-        threshold = 1.25 * self.saturation_rate if from_rate is None else from_rate
-        mask = self.request_rates >= threshold
-        if not mask.any():
-            # Sweep never reached overload; the peak is the best estimate.
-            return self.peak_throughput
-        return float(self.reply_rates[mask].mean())
 
     def goodput_fraction(self) -> np.ndarray:
         """Replies per request at each point (1 under capacity)."""

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,24 @@ def _fresh_erlang_cache():
 
     shared_cache().clear()
     yield
+
+
+@pytest.fixture(autouse=True)
+def _no_serve_thread_left():
+    """Fail a test that leaves a ``repro-serve`` thread running.
+
+    ``PlannerServer.start()`` names its serve-loop thread ``repro-serve``;
+    a loop left behind (worst: on a closed socket, where it spins at full
+    CPU) slows every later test, so teardown must stop it.
+    """
+    before = set(threading.enumerate())
+    yield
+    left = [
+        t for t in threading.enumerate()
+        if t.name == "repro-serve" and t not in before
+    ]
+    if left:
+        pytest.fail(f"{len(left)} repro-serve thread(s) still running after the test")
 
 
 @pytest.fixture

@@ -67,10 +67,11 @@ class TestPlanner:
 
 class TestSweeps:
     def test_loss_probability_sweep_monotone(self):
-        reports = ConsolidationPlanner().sweep_loss_probability(
-            services(), [0.001, 0.01, 0.1]
-        )
-        ns = [r.consolidated_servers for r in reports]
+        planner = ConsolidationPlanner()
+        ns = [
+            planner.plan(services(), b).consolidated_servers
+            for b in (0.001, 0.01, 0.1)
+        ]
         assert ns == sorted(ns, reverse=True)
 
     def test_workload_scale_sweep_monotone(self):

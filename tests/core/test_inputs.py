@@ -123,12 +123,6 @@ class TestModelInputs:
         with pytest.raises(KeyError):
             inputs.service("missing")
 
-    def test_scaled_workloads(self):
-        inputs = ModelInputs((make_web(100.0), make_db(10.0)), 0.01)
-        scaled = inputs.scaled_workloads(2.0)
-        assert scaled.service("web").arrival_rate == 200.0
-        assert scaled.service("db").arrival_rate == 20.0
-
 
 class TestConsolidatedLoad:
     """The Eq. 4/5 mixture — both the paper-literal and offered readings."""

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from oracles.prometheus import parse_prometheus_text
 from repro import __version__
 from repro.obs import (
     MANIFEST_SCHEMA,
@@ -13,7 +14,6 @@ from repro.obs import (
     build_manifest,
     environment_fingerprint,
     inputs_hash,
-    parse_prometheus_text,
     prometheus_text,
     write_manifest,
     write_prometheus,

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from repro.obs import NullTraceLog, TraceLog, get_trace, scoped_trace, set_trace
+from repro.obs import (
+    NullTraceLog,
+    TraceLog,
+    get_trace,
+    scoped_trace,
+    set_trace,
+    write_trace_jsonl,
+)
 from repro.simulation.engine import Simulator
 
 
@@ -99,7 +106,8 @@ class TestExport:
         log.emit("a", x=1)
         with log.span("s"):
             pass
-        path = log.export_jsonl(tmp_path / "trace.jsonl")
+        # The writer creates missing parent directories.
+        path = write_trace_jsonl(log, tmp_path / "nested" / "trace.jsonl")
         lines = path.read_text().strip().splitlines()
         docs = [json.loads(line) for line in lines]
         assert len(docs) == 3
@@ -108,7 +116,7 @@ class TestExport:
         assert docs[2]["kind"] == "span_end"
 
     def test_empty_log_exports_empty_file(self, tmp_path):
-        path = TraceLog().export_jsonl(tmp_path / "empty.jsonl")
+        path = write_trace_jsonl(TraceLog(), tmp_path / "empty.jsonl")
         assert path.read_text() == ""
 
 

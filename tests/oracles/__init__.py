@@ -6,7 +6,9 @@ checked against a second derivation:
 - :mod:`oracles.birth_death` solves birth–death balance equations
   numerically (Erlang-B and Engset cross-checks);
 - :mod:`oracles.mva` is exact Mean Value Analysis for closed networks
-  (the TPC-W throughput laws).
+  (the TPC-W throughput laws);
+- :mod:`oracles.prometheus` parses and conformance-checks the Prometheus
+  text format (the ``/metrics`` and file-exporter round trips).
 
 Import them as ``from oracles.mva import exact_mva``: the suite's
 ``tests/conftest.py`` puts ``tests/`` on ``sys.path``.

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import PROMETHEUS_CONTENT_TYPE, parse_prometheus_text
+from oracles.prometheus import parse_prometheus_text
+from repro.obs import PROMETHEUS_CONTENT_TYPE
 from repro.service import AccessLog, PlannerApp, SLOTracker
 
 EXAMPLE = json.loads(

@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import parse_prometheus_text
+from oracles.prometheus import parse_prometheus_text
 from repro.service import PlannerApp
-from repro.service.server import PlannerServer
+from repro.service.server import PlannerServer, main
 
 EXAMPLE_PATH = Path(__file__).resolve().parents[2] / "examples" / "deployment.json"
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
@@ -87,6 +87,19 @@ class TestEndpoints:
             )
             reply = sock.recv(4096).decode()
         assert reply.startswith("HTTP/1.1 413")
+
+
+def _serve_threads():
+    return [t for t in threading.enumerate() if t.name == "repro-serve"]
+
+
+class TestClose:
+    def test_close_stops_the_serve_thread(self):
+        srv = PlannerServer(PlannerApp())
+        srv.start()
+        assert _serve_threads()
+        srv.close()
+        assert _serve_threads() == []
 
 
 class TestDrain:
@@ -249,6 +262,14 @@ class TestProcessLifecycle:
         out, err = proc.communicate(timeout=15)
         assert proc.returncode == 2
         assert err.decode().strip().startswith("error:")
+
+    def test_unwritable_port_file_exit_2(self, tmp_path, capsys):
+        # main() closes the server before ever starting it on this path, so
+        # close() must not wait for a serve loop that never ran.
+        (tmp_path / "blocker").write_text("")
+        port_file = tmp_path / "blocker" / "port"
+        assert main(["--port", "0", "--port-file", str(port_file)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write port file")
 
     def test_occupied_port_exit_2(self, tmp_path):
         import socket

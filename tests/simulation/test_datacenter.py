@@ -102,42 +102,3 @@ class TestCaseStudy:
         # Without Xen platform effects the saving tracks the server ratio.
         assert case.power_saving == pytest.approx(0.5, abs=0.05)
 
-
-class TestControlledScenario:
-    def _controller(self):
-        from repro.control.controller import ConsolidationController, ControllerConfig
-        from repro.control.fleet import FleetState
-        from repro.core.dynamic import DynamicCapacityPlanner
-        from repro.core.power import ServerPowerModel
-        from repro.virtualization.placement import VmDemand
-
-        inputs = group2_inputs()
-        planner = DynamicCapacityPlanner(
-            list(inputs.services), 0.01,
-            power_model=ServerPowerModel(),
-            period_length=1800.0, hold_periods=1,
-        )
-        vms = [VmDemand(f"vm-{i}", {CPU: 0.25}) for i in range(8)]
-        fleet = FleetState(16, vms, initial_on=6)
-        return ConsolidationController(
-            planner, fleet, ControllerConfig(interval=10.0, pool="dc-test")
-        )
-
-    def test_run_controlled_wires_the_loop_and_meters_energy(self, sim, rng):
-        controller = self._controller()
-        result = sim.run_controlled(controller, 60.0, rng)
-        assert result.scenario == "controlled"
-        assert result.servers == 6  # the pool starts at the fleet's size
-        assert set(result.per_service_loss) == {"web", "db"}
-        assert controller.ticks == 6
-        # Energy comes from the controller's ledger, not a static meter.
-        assert result.energy.total_energy == pytest.approx(controller.energy_j)
-        assert result.energy.duration == pytest.approx(
-            controller.ticks * controller.planner.period_length
-        )
-        assert result.energy.total_energy >= result.energy.idle_energy > 0.0
-
-    def test_run_controlled_is_seed_deterministic(self, sim, rng_factory):
-        a = sim.run_controlled(self._controller(), 60.0, rng_factory(3))
-        b = sim.run_controlled(self._controller(), 60.0, rng_factory(3))
-        assert a == b

@@ -1,11 +1,10 @@
 """Unit + validation tests for the delay-system simulation."""
 
-import numpy as np
 import pytest
 
 from repro.queueing.distributions import Deterministic, Exponential
 from repro.queueing.mmn import mmn_delay_metrics
-from repro.simulation.delay_sim import response_time_curve, simulate_delay_system
+from repro.simulation.delay_sim import simulate_delay_system
 
 
 class TestBasics:
@@ -62,12 +61,3 @@ class TestAgainstClosedForms:
         mm1 = simulate_delay_system(lam, Exponential(mu), 1, 40_000.0, rng)
         md1 = simulate_delay_system(lam, Deterministic(1.0 / mu), 1, 40_000.0, rng)
         assert md1.mean_wait == pytest.approx(mm1.mean_wait / 2.0, rel=0.15)
-
-
-class TestResponseCurve:
-    def test_knee_shape(self, rng):
-        rates = np.array([1.0, 4.0, 7.0, 7.8])
-        curve = response_time_curve(rates, 2.0, 4, 4000.0, rng)
-        # Monotone growth with a sharp knee near saturation (rho -> n).
-        assert (np.diff(curve) > -1e-6).all()
-        assert curve[-1] > 3.0 * curve[0]

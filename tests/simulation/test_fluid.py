@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.simulation.fluid import demand_trace_from_rates, simulate_flow_control
+from repro.simulation.fluid import simulate_flow_control
 from repro.virtualization.rainbow import (
     IdealFlow,
     ProportionalFlow,
@@ -74,22 +74,3 @@ class TestSimulateFlowControl:
             simulate_flow_control(IdealFlow(), {"a": np.array([-1.0])}, 1.0)
         with pytest.raises(ValueError):
             simulate_flow_control(IdealFlow(), {"a": np.array([1.0])}, -1.0)
-
-
-class TestDemandTraces:
-    def test_mean_work_matches_rates(self, rng):
-        traces = demand_trace_from_rates([100.0, 10.0], [0.01, 0.1], 2000, rng)
-        assert traces[0].mean() == pytest.approx(1.0, rel=0.05)
-        assert traces[1].mean() == pytest.approx(1.0, rel=0.05)
-
-    def test_shapes(self, rng):
-        traces = demand_trace_from_rates([5.0], [1.0], 50, rng)
-        assert traces[0].shape == (50,)
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            demand_trace_from_rates([1.0], [1.0, 2.0], 10, rng)
-        with pytest.raises(ValueError):
-            demand_trace_from_rates([1.0], [1.0], 0, rng)
-        with pytest.raises(ValueError):
-            demand_trace_from_rates([-1.0], [1.0], 10, rng)

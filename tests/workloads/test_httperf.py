@@ -21,20 +21,6 @@ class TestSweepResult:
         assert r.peak_throughput == 2.0
         assert r.saturation_rate == 2.0
 
-    def test_stable_mean_over_plateau(self):
-        r = SweepResult(
-            request_rates=np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
-            reply_rates=np.array([1.0, 2.0, 1.5, 1.5, 1.5]),
-        )
-        assert r.stable_mean() == pytest.approx(1.5)
-
-    def test_stable_mean_falls_back_to_peak(self):
-        r = SweepResult(
-            request_rates=np.array([1.0, 2.0]),
-            reply_rates=np.array([1.0, 2.0]),
-        )
-        assert r.stable_mean() == 2.0
-
     def test_goodput_fraction(self):
         r = SweepResult(
             request_rates=np.array([0.0, 2.0, 4.0]),
