@@ -12,6 +12,10 @@ form ``write_timeseries_jsonl`` writes): the ext-telemetry and ext-dynamic
 ``timeseries`` artifacts (series documents, ``engine.events`` included,
 plus alarm documents) and the ext-dynamic ``control`` decision stream.
 Summary counts alone would not notice an alarm firing one bucket late.
+The two timeseries streams are pinned a second time with their
+``engine.events`` documents left out: those count engine events, which
+move whenever the engine's event bookkeeping does, while every other
+document records what the simulated system did and must not.
 
 To bless intentional changes::
 
@@ -37,6 +41,13 @@ DIGESTED_ARTIFACTS = (
     ("ext-dynamic", "timeseries"),
     ("ext-telemetry", "timeseries"),
 )
+#: Streams also pinned without their ``engine.events`` series documents,
+#: under the key ``<experiment>.<artifact>.no_engine_events``.
+ENGINE_FREE_ARTIFACTS = (
+    ("ext-dynamic", "timeseries"),
+    ("ext-telemetry", "timeseries"),
+)
+ENGINE_SERIES = "engine.events"
 
 
 def _jsonable(value):
@@ -52,6 +63,20 @@ def jsonl_digest(docs) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def without_engine_events(docs) -> list:
+    """The documents minus the ``engine.events`` series."""
+    return [
+        doc for doc in docs
+        if not (doc.get("kind") == "series" and doc.get("series") == ENGINE_SERIES)
+    ]
+
+
+def digest_keys() -> list[str]:
+    return [f"{name}.{key}" for name, key in DIGESTED_ARTIFACTS] + [
+        f"{name}.{key}.no_engine_events" for name, key in ENGINE_FREE_ARTIFACTS
+    ]
+
+
 def current_snapshot() -> dict:
     results = run_all(seed=SEED, fast=True)
     return {
@@ -64,8 +89,16 @@ def current_snapshot() -> dict:
             for name, result in sorted(results.items())
         },
         "artifact_digests": {
-            f"{name}.{key}": jsonl_digest(results[name].artifacts[key])
-            for name, key in DIGESTED_ARTIFACTS
+            **{
+                f"{name}.{key}": jsonl_digest(results[name].artifacts[key])
+                for name, key in DIGESTED_ARTIFACTS
+            },
+            **{
+                f"{name}.{key}.no_engine_events": jsonl_digest(
+                    without_engine_events(results[name].artifacts[key])
+                )
+                for name, key in ENGINE_FREE_ARTIFACTS
+            },
         },
     }
 
@@ -121,8 +154,6 @@ def test_golden_file_is_well_formed():
     golden = json.loads(GOLDEN_PATH.read_text())
     assert golden["seed"] == SEED and golden["fast"] is True
     assert len(golden["experiments"]) >= 16
-    assert sorted(golden["artifact_digests"]) == sorted(
-        f"{name}.{key}" for name, key in DIGESTED_ARTIFACTS
-    )
+    assert sorted(golden["artifact_digests"]) == sorted(digest_keys())
     for name, summary in golden["experiments"].items():
         assert isinstance(summary, dict) and summary, name
