@@ -137,7 +137,12 @@ class TestDrain:
 
             d = threading.Thread(target=drain)
             d.start()
-            assert app.draining or not d.is_alive() or True  # drain in progress
+            deadline = time.monotonic() + 5
+            while not app.draining and time.monotonic() < deadline:
+                time.sleep(0.01)
+            # The request is still held: the server drains, and waits.
+            assert app.draining
+            assert d.is_alive()
             release.set()
             d.join(timeout=10)
             t.join(timeout=10)
