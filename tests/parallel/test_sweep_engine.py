@@ -27,9 +27,9 @@ def _item_and_seed(x, *, seed):
 
 
 def _invert_small(rho):
-    from repro.parallel import cached_min_servers
+    from repro.parallel import shared_cache
 
-    return cached_min_servers(rho, 0.01)
+    return shared_cache().min_servers(rho, 0.01)
 
 
 class TestSeedFor:
