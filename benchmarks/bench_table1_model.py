@@ -7,7 +7,7 @@ rows before timing.
 
 import pytest
 
-from repro.core import UtilityAnalyticModel
+from repro.core import ResourceKind, UtilityAnalyticModel, solve_with_targets
 from repro.experiments.casestudy import GROUP1, GROUP2
 from repro.experiments.table1 import run as run_table1
 
@@ -29,6 +29,18 @@ def test_fig4_algorithm_group2(benchmark):
     solution = benchmark(solve)
     assert solution.dedicated_servers == 8
     assert solution.consolidated_servers == 4
+
+
+@pytest.mark.benchmark(group="table1")
+def test_fig4_with_targets(benchmark):
+    """The same solve under per-service loss targets (core.multiqos)."""
+
+    def solve():
+        return solve_with_targets(GROUP2.inputs(), {"web": 0.05, "db": 0.001})
+
+    multi = benchmark(solve)
+    assert multi.binding_service_per_resource[ResourceKind.CPU] == "db"
+    assert multi.consolidated_servers >= 4
 
 
 @pytest.mark.benchmark(group="table1")
