@@ -5,6 +5,7 @@ import pytest
 from repro.core.inputs import ModelInputs, ResourceKind, ServiceSpec
 from repro.core.model import UtilityAnalyticModel
 from repro.core.multiqos import solve_with_targets
+from repro.queueing.cache import shared_cache
 from repro.queueing.erlang import min_servers
 
 CPU = ResourceKind.CPU
@@ -70,6 +71,18 @@ class TestPerServiceTargets:
         loose = solve_with_targets(inputs(), {"web": 0.1, "db": 0.1})
         assert loose.dedicated_servers <= tight.dedicated_servers
         assert loose.consolidated_servers <= tight.consolidated_servers
+
+
+class TestSharedCache:
+    def test_target_sizing_runs_through_the_shared_cache(self):
+        # Five points: web cpu/disk at 0.05, db cpu at 0.001, then the pool's
+        # cpu at 0.001 (db binds) and disk at 0.05 (web alone loads it).
+        solve_with_targets(inputs(), {"web": 0.05, "db": 0.001})
+        first = shared_cache().stats()
+        solve_with_targets(inputs(), {"web": 0.05, "db": 0.001})
+        second = shared_cache().stats()
+        assert (first["hits"], first["misses"]) == (0, 5)
+        assert (second["hits"], second["misses"]) == (5, 5)
 
 
 class TestValidation:
